@@ -19,7 +19,6 @@ from .models import (
     ThresholdPolicy,
     UnsupportedModelError,
     ValueTables,
-    validate_policy,
 )
 
 __version__ = "0.1.0"
@@ -37,6 +36,5 @@ __all__ = [
     "ThresholdPolicy",
     "UnsupportedModelError",
     "ValueTables",
-    "validate_policy",
     "__version__",
 ]

@@ -93,7 +93,11 @@ def _model_from_args(args) -> ObservationModel:
 
 def _load_policy(path: str) -> ThresholdPolicy:
     with open(path) as fh:
-        return ThresholdPolicy.from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise StopRuleError(f"policy file {path} is not valid JSON: {exc}") from exc
+    return ThresholdPolicy.from_json(obj)
 
 
 def _parse_grid(text: str):

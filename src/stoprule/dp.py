@@ -24,7 +24,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -38,6 +37,7 @@ from .models import (
     ObservationModel,
     ResourceLimitError,
     StateRangeError,
+    StopRuleError,
     ThresholdPolicy,
     UnsupportedModelError,
     ValueTables,
@@ -65,7 +65,12 @@ _CONSISTENCY_TOL = 1e-9
 
 def _max_n() -> int:
     env = os.environ.get("STOPRULE_MAX_N")
-    return int(env) if env else DEFAULT_MAX_N
+    if not env:
+        return DEFAULT_MAX_N
+    try:
+        return int(env)
+    except ValueError:
+        raise StopRuleError(f"STOPRULE_MAX_N must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,6 @@ class _TriLattice:
         self.x_max = n
         self._lg = gammaln(np.arange(n + 3, dtype=float))
 
-    def lo(self, j: int) -> int:
-        return j
-
-    def support_size(self, j: int) -> int:
-        return self.n - j + 1
-
     def stop_col(self, j: int) -> np.ndarray:
         """s(j, x) = prod_{i=0}^{x-j-1} (n-x+1)/(n-j-i) for x in [j..n]."""
         n, lg = self.n, self._lg
@@ -116,29 +115,16 @@ class _TriLattice:
         )
         return col
 
-    def n_above(self, j: int, xs: np.ndarray) -> np.ndarray:
-        """Count of support values of X_j strictly above x, for x >= j."""
-        return self.n - xs
-
-    def prob_min_gt(self, count: int, b: int) -> float:
-        """P(min of the first `count` observations > b)."""
-        if b <= 0 or count == 0:
-            return 1.0
-        if b >= self.n:
-            return 0.0
-        t = min(count, b)
-        lg = self._lg
-        return float(np.exp(t * math.log(self.n - b) - (lg[self.n + 1] - lg[self.n - t + 1])))
-
-    def prob_min_ge(self, j: int, ys: np.ndarray) -> np.ndarray:
-        """P(M_j >= y) for an integer vector y (entries may reach x_max + 1)."""
+    def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
+        """P(M_j >= y) for an integer vector y (entries may reach x_max + 1),
+        elementwise in j as well; the empty minimum M_0 is +inf."""
         n, lg = self.n, self._lg
         t = np.minimum(j, ys - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.exp(t * np.log(n - ys + 1.0) - (lg[n + 1] - lg[n - t + 1]))
         out[ys <= 1] = 1.0
         out[ys > n] = 0.0
-        return out
+        return np.where(j == 0, 1.0, out)
 
 
 class _RectLattice:
@@ -149,12 +135,6 @@ class _RectLattice:
         self.k = k
         self.x_max = k
 
-    def lo(self, j: int) -> int:
-        return 1
-
-    def support_size(self, j: int) -> int:
-        return self.k
-
     def stop_col(self, j: int) -> np.ndarray:
         """s(j, x) = ((K-x+1)/K)^(n-j)."""
         k = self.k
@@ -162,16 +142,6 @@ class _RectLattice:
         x = np.arange(1, k + 1)
         col[1:] = np.exp((self.n - j) * (np.log(k - x + 1.0) - math.log(k)))
         return col
-
-    def n_above(self, j: int, xs: np.ndarray) -> np.ndarray:
-        return self.k - xs
-
-    def prob_min_gt(self, count: int, b: int) -> float:
-        if b <= 0 or count == 0:
-            return 1.0
-        if b >= self.k:
-            return 0.0
-        return ((self.k - b) / self.k) ** count
 
     def prob_min_ge(self, j: int, ys: np.ndarray) -> np.ndarray:
         frac = np.clip((self.k - ys + 1.0) / self.k, 0.0, 1.0)
@@ -190,16 +160,22 @@ def _lattice_for(model: ObservationModel):
 # Unified backward pass with jump/drift accumulation
 # ---------------------------------------------------------------------------
 
-def _lattice_pass(lat, policy_ints: np.ndarray | None = None, want_tables: bool = False):
+def _lattice_pass(model: ObservationModel, policy_ints: np.ndarray | None = None,
+                  want_tables: bool = False):
     """One backward sweep.  With policy_ints=None it solves for the optimal
     thresholds and returns (b, jump, drift, v0, stop_tab, cont_tab); with an
     integer policy it evaluates that rule exactly (v0 is then NaN and the
     continuation chain is "stop at every future record")."""
-    n, x_max = lat.n, lat.x_max
+    lat = _lattice_for(model)
+    n, x_max = model.n, lat.x_max
     optimal = policy_ints is None
     b = np.zeros(n + 2, dtype=np.int64)
     b[n + 1] = x_max  # drift windows at m = n are empty either way
-    jump_terms: list[float] = []
+    # Jump mass at step j is P(M_{j-1} >= b_j + 1) * ssum_j / size_j with
+    # ssum_j = sum_{lo_j <= x <= b_j} s(j, x); the prefactors are evaluated
+    # in one call after the sweep.
+    jump_ssum = np.zeros(n + 1)
+    sizes = np.ones(n + 1, dtype=np.int64)
     drift_terms: list[float] = []
     stop_tab = cont_tab = None
     if want_tables:
@@ -214,19 +190,21 @@ def _lattice_pass(lat, policy_ints: np.ndarray | None = None, want_tables: bool 
     s_next = cont_next = None
     v0 = math.nan
     for j in range(n, 0, -1):
-        lo = lat.lo(j)
+        lo, hi = model.support(j)
+        sizes[j] = hi - lo + 1
         s_col = lat.stop_col(j)
         cont = np.zeros(x_max + 1)
         if j < n:
-            lo1 = lat.lo(j + 1)
-            size = lat.support_size(j + 1)
+            lo1, hi1 = model.support(j + 1)
+            size = hi1 - lo1 + 1
             if optimal:
                 w = np.maximum(s_next[lo1:], cont_next[lo1:])
             else:
                 w = s_next[lo1:]
             xs = np.arange(lo1, x_max + 1)
+            # (hi1 - x) / size = P(X_{j+1} > x) for x in the support
             cont[lo1:] = np.minimum(
-                np.cumsum(w) / size + (lat.n_above(j + 1, xs) / size) * cont_next[lo1:],
+                np.cumsum(w) / size + ((hi1 - xs) / size) * cont_next[lo1:],
                 1.0,
             )
 
@@ -238,9 +216,7 @@ def _lattice_pass(lat, policy_ints: np.ndarray | None = None, want_tables: bool 
 
         bj = int(b[j])
         if bj >= lo:
-            ssum = float(np.sum(s_col[lo : bj + 1]))
-            pm = lat.prob_min_gt(j - 1, bj)
-            jump_terms.append(pm * ssum / lat.support_size(j))
+            jump_ssum[j] = np.sum(s_col[lo : bj + 1])
 
         if j < n:
             lo_w = max(bj + 1, 1)
@@ -256,10 +232,11 @@ def _lattice_pass(lat, policy_ints: np.ndarray | None = None, want_tables: bool 
             cont_tab[j, lo:] = cont[lo:]
         if j == 1 and optimal:
             w1 = np.maximum(s_col[lo:], cont[lo:])
-            v0 = float(np.sum(w1)) / lat.support_size(1)
+            v0 = float(np.sum(w1)) / sizes[1]
         s_next, cont_next = s_col, cont
 
-    jump = math.fsum(jump_terms)
+    pm = lat.prob_min_ge(np.arange(n), b[1 : n + 1] + 1)
+    jump = math.fsum(pm * jump_ssum[1:] / sizes[1:])
     drift = math.fsum(drift_terms)
     return b[1 : n + 1], jump, drift, v0, stop_tab, cont_tab
 
@@ -283,38 +260,23 @@ def _policy_to_ints(model: ObservationModel, policy: ThresholdPolicy) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def _check_state(model: ObservationModel, j: int, x: int):
-    if model.kind == TRIANGULAR:
-        if not (1 <= j <= model.n and j <= x <= model.n):
-            raise StateRangeError(f"({j}, {x}) outside the triangular lattice for n={model.n}")
-    elif model.kind == RECTANGULAR:
-        if not (1 <= j <= model.n and 1 <= x <= model.k):
-            raise StateRangeError(f"({j}, {x}) outside the rectangular lattice for K={model.k}")
-    else:
-        raise UnsupportedModelError(f"no lattice states for {model.kind}")
+    """The lattice of the model; raises unless x is in the support of X_j."""
+    lat = _lattice_for(model)
+    lo, hi = model.support(j)
+    if not lo <= x <= hi:
+        raise StateRangeError(f"({j}, {x}) outside the {model.kind} lattice")
+    return lat
 
 
 def stop_value(model: ObservationModel, j: int, x: int) -> float:
     """Probability that stopping at a record value x at step j succeeds."""
-    _check_state(model, j, x)
-    lat = _lattice_for(model)
-    return float(lat.stop_col(j)[x])
-
-
-@lru_cache(maxsize=4)
-def _cached_tables(model: ObservationModel):
-    lat = _lattice_for(model)
-    cells = (model.n + 1) * (lat.x_max + 1)
-    if cells > TABLE_CELL_CAP:
-        raise ResourceLimitError(f"cont_value tables need {cells} cells, above cap")
-    _, _, _, _, stop_tab, cont_tab = _lattice_pass(lat, want_tables=True)
-    return stop_tab, cont_tab
+    return float(_check_state(model, j, x).stop_col(j)[x])
 
 
 def cont_value(model: ObservationModel, j: int, x: int) -> float:
     """Best achievable success probability after skipping state (j, x)."""
     _check_state(model, j, x)
-    _, cont_tab = _cached_tables(model)
-    return float(cont_tab[j, x])
+    return solve(model, keep_tables=True).tables.cont_value(j, x)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +358,9 @@ def solve(model: ObservationModel, keep_tables: bool | None = None) -> DpSolutio
         raise ResourceLimitError(f"n={model.n} above cap {_max_n()} (set STOPRULE_MAX_N)")
     if model.kind == BERNOULLI_PYRAMID:
         return _pyramid_solve(model)
-    lat = _lattice_for(model)
     if keep_tables is None:
-        keep_tables = (model.n + 1) * (lat.x_max + 1) <= TABLE_CELL_DEFAULT
-    b, jump, drift, v0, stop_tab, cont_tab = _lattice_pass(lat, want_tables=keep_tables)
+        keep_tables = (model.n + 1) * (_lattice_for(model).x_max + 1) <= TABLE_CELL_DEFAULT
+    b, jump, drift, v0, stop_tab, cont_tab = _lattice_pass(model, want_tables=keep_tables)
     total = jump + drift
     if abs(total - v0) > _CONSISTENCY_TOL:
         raise RuntimeError(
@@ -433,9 +394,8 @@ def policy_value(model: ObservationModel, policy: ThresholdPolicy) -> Decomposit
         return _pyramid_policy_value(model, policy)
     if model.n > _max_n():
         raise ResourceLimitError(f"n={model.n} above cap {_max_n()}")
-    lat = _lattice_for(model)
     ints = _policy_to_ints(model, policy)
-    _, jump, drift, _, _, _ = _lattice_pass(lat, policy_ints=ints)
+    _, jump, drift, _, _, _ = _lattice_pass(model, policy_ints=ints)
     return Decomposition.from_parts(jump, drift)
 
 
@@ -444,16 +404,14 @@ def policy_value(model: ObservationModel, policy: ThresholdPolicy) -> Decomposit
 # ---------------------------------------------------------------------------
 
 def _support_with_probs(model: ObservationModel, j: int):
-    if model.kind == TRIANGULAR:
-        lo, hi = j, model.n
-        return [(float(v), 1.0 / (hi - lo + 1)) for v in range(lo, hi + 1)]
-    if model.kind == RECTANGULAR:
-        return [(float(v), 1.0 / model.k) for v in range(1, model.k + 1)]
     if model.kind == BERNOULLI_PYRAMID:
         if j == 1:
             return [(1.0, 1.0)]
         return [(1.0 / j, model.p), (float(j), 1.0 - model.p)]
-    raise UnsupportedModelError(f"{model.kind} cannot be enumerated")
+    if not model.is_lattice:
+        raise UnsupportedModelError(f"{model.kind} cannot be enumerated")
+    lo, hi = model.support(j)
+    return [(float(v), 1.0 / (hi - lo + 1)) for v in range(lo, hi + 1)]
 
 
 def brute_force_oracle(model: ObservationModel, policy="optimal",

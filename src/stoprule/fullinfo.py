@@ -143,9 +143,9 @@ def tie_probability(model: ObservationModel) -> float:
         return 0.0
     if model.kind == RECTANGULAR:
         n, k = model.n, model.k
-        m = np.arange(k, dtype=float)  # P(X > x) = m/k for x = k - m
+        surv = model.survival(1, k - np.arange(k, dtype=float))  # x = k, ..., 1
         with np.errstate(divide="ignore"):
-            surv = np.exp((n - 1) * np.log(m / k)) if n > 1 else np.ones(k)
+            surv = np.exp((n - 1) * np.log(surv)) if n > 1 else np.ones(k)
         return 1.0 - (n / k) * float(np.sum(surv))
     raise UnsupportedModelError(f"tie probability needs an iid model, got {model.kind}")
 

@@ -87,30 +87,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_block(model: ObservationModel, rng: np.random.Generator, rows: int) -> np.ndarray:
-    n = model.n
-    u = rng.random((rows, n))
-    js = np.arange(1, n + 1, dtype=float)
-    if model.kind == IID_UNIFORM01:
-        return u
-    if model.kind == TRIANGULAR:
-        return js[None, :] + np.floor(u * (n - js + 1)[None, :])
-    if model.kind == RECTANGULAR:
-        return 1.0 + np.floor(u * model.k)
-    if model.kind == TREND_SHIFTED:
-        return js[None, :] + np.floor(u * n)
-    if model.kind == TREND_SCALED:
-        return js[None, :] + model.rho * n * u
-    if model.kind == TREND_POWER:
-        return js[None, :] + n * u ** (1.0 / model.theta)
-    if model.kind == BERNOULLI_PYRAMID:
-        low = 1.0 / js
-        x = np.where(u < model.p, low[None, :], js[None, :])
-        x[:, 0] = 1.0
-        return x
-    raise UnsupportedModelError(f"cannot sample {model.kind}")
-
-
 def optimal_policy(model: ObservationModel) -> ThresholdPolicy:
     """Optimal thresholds from the matching exact solver."""
     if model.kind in (TRIANGULAR, RECTANGULAR, BERNOULLI_PYRAMID):
@@ -146,7 +122,7 @@ def simulate(config: SimConfig) -> SimResult:
     index = 0
     while done < reps:
         rows = min(block, reps - done)
-        x = _sample_block(model, _block_rng(config.seed, index), block)[:rows]
+        x = model.sample(_block_rng(config.seed, index).random((block, n)))[:rows]
         m = np.minimum.accumulate(x, axis=1)
         prev = np.empty_like(m)
         prev[:, 0] = np.inf
@@ -197,53 +173,14 @@ class ScalingReport:
     note: str = ""
 
 
-def _survival_one(model: ObservationModel, j: int, v: float) -> float:
-    """P(X_j > v) for the trend/triangular kinds."""
-    n = model.n
-    if model.kind == TRIANGULAR:
-        if v < j:
-            return 1.0
-        return max(n - math.floor(v), 0.0) / (n - j + 1)
-    if model.kind == TREND_SHIFTED:
-        if v < j:
-            return 1.0
-        return max(j + n - 1 - math.floor(v), 0.0) / n
-    if model.kind == TREND_SCALED:
-        return float(np.clip(1.0 - (v - j) / (model.rho * n), 0.0, 1.0))
-    if model.kind == TREND_POWER:
-        if v <= j:
-            return 1.0
-        return float(np.clip(1.0 - ((v - j) / n) ** model.theta, 0.0, 1.0))
-    raise UnsupportedModelError(f"scaling check does not support {model.kind}")
-
-
-def _min_survival(model: ObservationModel, v: float) -> float:
-    """Exact P(M_n > v); only steps j <= v contribute factors below 1."""
-    out = 1.0
-    j_hi = min(model.n, int(math.floor(v)) + 1)
-    for j in range(1, j_hi + 1):
-        f = _survival_one(model, j, v)
-        if f == 0.0:
-            return 0.0
-        out *= f
-    return out
-
-
-def _min_survival_vec(model: ObservationModel, vs: np.ndarray, j_cut: int) -> np.ndarray:
-    """Vectorized exact P(M_n > v) for the continuous trend kinds."""
-    n = model.n
+def _min_survival(model: ObservationModel, vs: np.ndarray, j_cut: int) -> np.ndarray:
+    """Exact P(M_n > v) for each v in vs; steps above j_cut, which lie above
+    every v, contribute factors 1."""
     js = np.arange(1.0, j_cut + 1.0)
     out = np.empty(len(vs))
     chunk = max(1, 2_000_000 // j_cut)
     for lo in range(0, len(vs), chunk):
-        v = vs[lo : lo + chunk, None]
-        if model.kind == TREND_SCALED:
-            f = np.clip(1.0 - (v - js[None, :]) / (model.rho * n), 0.0, 1.0)
-        elif model.kind == TREND_POWER:
-            f = 1.0 - np.clip((v - js[None, :]) / n, 0.0, 1.0) ** model.theta
-        else:
-            raise UnsupportedModelError(model.kind)
-        out[lo : lo + chunk] = np.prod(f, axis=1)
+        out[lo : lo + chunk] = np.prod(model.survival(js, vs[lo : lo + chunk, None]), axis=1)
     return out
 
 
@@ -281,19 +218,9 @@ def scaling_check(model: ObservationModel, replications: int = 100_000,
     done = 0
     index = 0
     block = max(1, _BLOCK_TARGET // j_cut)
-    js = np.arange(1, j_cut + 1, dtype=float)
     while done < replications:
         rows = min(block, replications - done)
-        rng = _block_rng(seed, index)
-        u = rng.random((block, j_cut))[:rows]
-        if model.kind == TRIANGULAR:
-            x = js[None, :] + np.floor(u * (n - js + 1)[None, :])
-        elif model.kind == TREND_SHIFTED:
-            x = js[None, :] + np.floor(u * n)
-        elif model.kind == TREND_SCALED:
-            x = js[None, :] + model.rho * n * u
-        else:
-            x = js[None, :] + n * u ** (1.0 / model.theta)
+        x = model.sample(_block_rng(seed, index).random((block, j_cut))[:rows])
         samples[done : done + rows] = x.min(axis=1)
         done += rows
         index += 1
@@ -312,10 +239,10 @@ def scaling_check(model: ObservationModel, replications: int = 100_000,
         # points, so the sup distance is attained on the integer grid.
         grid = np.arange(1.0, math.floor(cap) + 1.0)
         ecdf = np.searchsorted(sorted_raw, grid, side="right") / replications
-        exact = np.array([1.0 - _min_survival(model, v) for v in grid])
+        exact = 1.0 - _min_survival(model, grid, j_cut)
         sup_exact = float(np.max(np.abs(ecdf - exact)))
     else:
-        cdf_exact = 1.0 - _min_survival_vec(model, sorted_raw, j_cut)
+        cdf_exact = 1.0 - _min_survival(model, sorted_raw, j_cut)
         sup_exact = float(
             np.max(np.maximum(ranks - cdf_exact, cdf_exact - (ranks - 1.0 / replications)))
         )

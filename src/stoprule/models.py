@@ -1,6 +1,7 @@
 """Shared domain types for the best-choice (sample minimum) toolkit.
 
-Observation models describe a finite sequence of independent draws; threshold
+Observation models describe a finite sequence of independent draws and carry
+each draw's law (support, sampler, survival function); threshold
 policies encode "stop at a record at or below b_j"; value tables hold the
 stop/continuation probabilities on the running-minimum lattice; decompositions
 split a success probability into jump and drift first-passage mass.
@@ -27,7 +28,6 @@ __all__ = [
     "ValueTables",
     "Decomposition",
     "RootReport",
-    "validate_policy",
 ]
 
 # Consistency tolerance for total == jump + drift.
@@ -188,6 +188,10 @@ class ObservationModel:
         """Integer support bounds (lo, hi) of observation j, discrete kinds only."""
         if not 1 <= j <= self.n:
             raise StateRangeError(f"step {j} outside 1..{self.n}")
+        return self._interval(j)
+
+    def _interval(self, j):
+        """(lo, hi) of the integer support of X_j; j may be an array of steps."""
         if self.kind == TRIANGULAR:
             return j, self.n
         if self.kind == RECTANGULAR:
@@ -195,6 +199,34 @@ class ObservationModel:
         if self.kind == TREND_SHIFTED:
             return j, j + self.n - 1
         raise UnsupportedModelError(f"{self.kind} has no integer support")
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """Map a (rows, cols) block of uniforms on [0, 1) to the observations
+        X_1..X_cols, one replication per row."""
+        n = self.n
+        js = np.arange(1, u.shape[1] + 1, dtype=float)
+        if self.kind == IID_UNIFORM01:
+            return u
+        if self.kind == TREND_SCALED:
+            return js + self.rho * n * u
+        if self.kind == TREND_POWER:
+            return js + n * u ** (1.0 / self.theta)
+        if self.kind == BERNOULLI_PYRAMID:
+            x = np.where(u < self.p, 1.0 / js, js)
+            x[:, 0] = 1.0
+            return x
+        lo, hi = self._interval(js)
+        return lo + np.floor(u * ((hi - lo) + 1))
+
+    def survival(self, j, v):
+        """P(X_j > v), broadcast over arrays of steps j and values v."""
+        if self.kind == TREND_SCALED:
+            return np.clip(1.0 - (v - j) / (self.rho * self.n), 0.0, 1.0)
+        if self.kind == TREND_POWER:
+            return 1.0 - np.clip((v - j) / self.n, 0.0, 1.0) ** self.theta
+        lo, hi = self._interval(j)
+        v = v + 0 * j  # broadcast against j, which the rectangular bounds ignore
+        return np.clip((hi - np.floor(v)) / ((hi - lo) + 1), 0.0, 1.0)
 
     def outcome_count(self) -> int:
         """Number of distinct outcome tuples (enumeration size)."""
@@ -273,12 +305,16 @@ class ThresholdPolicy:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ThresholdPolicy":
-        return cls(tuple(_decode_threshold(b) for b in obj["thresholds"]))
-
-
-def validate_policy(policy: ThresholdPolicy) -> bool:
-    """True iff the thresholds are nondecreasing in the step index."""
-    return policy.is_nondecreasing()
+        try:
+            raw = obj["thresholds"]
+            if not isinstance(raw, (list, tuple)):
+                raise TypeError(f"thresholds must be a list, got {type(raw).__name__}")
+            values = tuple(_decode_threshold(b) for b in raw)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidPolicyError(
+                f"a policy is an object whose 'thresholds' lists numbers, 'inf' or '-inf' ({exc!r})"
+            ) from exc
+        return cls(values)
 
 
 class ValueTables:

@@ -62,28 +62,15 @@ _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 # ---------------------------------------------------------------------------
 
 def expint_e1(x: float) -> float:
-    """Exponential integral E1(x) = int_x^inf e^{-s}/s ds for x > 0.
-
-    Power series below 1, modified-Lentz continued fraction above.
-    """
+    """Exponential integral E1(x) = int_x^inf e^{-s}/s ds for x > 0."""
     if x <= 0:
         raise DomainError(f"expint_e1 requires x > 0, got {x}")
-    if x < 1.0:
-        # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k * k!)
-        total = -np.euler_gamma - math.log(x)
-        term = 1.0
-        for k in range(1, 64):
-            term *= x / k
-            piece = term / k if k % 2 == 1 else -term / k
-            total += piece
-            if abs(piece) < 1e-17 * max(abs(total), 1e-300):
-                break
-        return total
-    return math.exp(-x) * _e1_cf(x)
+    return float(special.exp1(x))
 
 
 def _e1_cf(x: float) -> float:
-    """Continued-fraction part of E1: e^x * E1(x), stable for x >= 1."""
+    """Continued-fraction part of E1: e^x * E1(x) for x >= 1, computed
+    directly because e^x * exp1(x) overflows above x ~ 709."""
     tiny = 1e-300
     b = x + 1.0
     c = 1.0 / tiny
@@ -196,23 +183,6 @@ def drift_success_tri(z: float) -> float:
     if z < 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
     return math.exp(-z) * _tri_drift_inner(z)
-
-
-def drift_success_tri_first_form(z: float) -> float:
-    """Independent single-integral route to drift_success_tri, integrating the
-    jump function along the sliding record location.  Kept as a test oracle."""
-    if z < 0:
-        raise DomainError(f"box area must be nonnegative, got {z}")
-    if z == 0.0:
-        return 0.0
-    w = math.sqrt(2.0 * z)
-
-    def integrand(s):
-        rest = (math.sqrt(z) - s / math.sqrt(2.0)) ** 2
-        return math.exp(-w * s + 0.5 * s * s) * (w - s) * jump_success_tri(rest)
-
-    val, _ = integrate.quad(integrand, 0.0, w, **_QUAD_OPTS)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +440,6 @@ def _jump_series_double(zlam: np.ndarray, lam: float, k_max: int) -> float:
     return math.fsum(pieces)
 
 
-def _jump_series_simplified(z: np.ndarray, k_max: int) -> float:
-    """Telescoped jump series valid at lam = 1 with unclamped ladder roots:
-    e^{-1}(z_1 - z_2) + sum_{k>=2} e^{-k} (z_k - z_{k+1} + (z_{k+1}^{k+1}-1)/(k+1))."""
-    pieces = [math.exp(-1.0) * (z[1] - z[2])]
-    for k in range(2, k_max + 1):
-        zk1 = z[k + 1]
-        corr = (math.exp((k + 1) * math.log(zk1)) - 1.0) / (k + 1)
-        pieces.append(math.exp(-float(k)) * (z[k] - zk1 + corr))
-    return math.fsum(pieces)
-
-
 def rect_limit(lam: float, k_max: int | None = None, tol: float = 1e-10) -> Decomposition:
     """Limit success probability for the integer-level model at intensity lam,
     split into jump and drift series over the levels.
@@ -506,10 +465,7 @@ def rect_limit(lam: float, k_max: int | None = None, tol: float = 1e-10) -> Deco
         if zlam[k] < cap
     ]
     drift = math.fsum(drift_terms)
-    if lam == 1.0:
-        jump = _jump_series_simplified(zlam, k_max)
-    else:
-        jump = _jump_series_double(zlam, lam, k_max)
+    jump = _jump_series_double(zlam, lam, k_max)
     return Decomposition.from_parts(jump, drift)
 
 

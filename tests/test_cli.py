@@ -176,3 +176,24 @@ class TestErrors:
         code, _, err = run_cli(capsys, "limit", "--geometry", "tri",
                                "--output", "/nonexistent-dir/x/out.json")
         assert code == 1
+
+    @pytest.mark.parametrize("text", [
+        "{}", "[1,2]", '{"thresholds": ["x", "inf"]}', "not json at all",
+        '{"thresholds": "12"}', "[" * 100_000 + "]" * 100_000,
+    ], ids=["empty-object", "list", "non-numeric", "not-json", "string", "deep-nesting"])
+    def test_malformed_policy_file_exits_1(self, capsys, tmp_path, text):
+        path = tmp_path / "pol.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "value", "--model", "rectangular",
+                                 "--n", "2", "--k", "2", "--policy", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_integer_max_n_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("STOPRULE_MAX_N", "abc")
+        code, out, err = run_cli(capsys, "value", "--model", "triangular", "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "STOPRULE_MAX_N" in err

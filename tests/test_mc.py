@@ -36,6 +36,41 @@ class TestDeterminism:
         assert r.replications == 12_347
 
 
+_POL8 = ThresholdPolicy((2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, math.inf))
+
+
+class TestPinnedResults:
+    # Exact SimResult fields of one short seeded run per model kind, recorded
+    # before the samplers moved onto ObservationModel; simulate output is
+    # promised byte-identical across refactors of the sampling path.
+    @pytest.mark.parametrize("model,policy,want", [
+        (ObservationModel.triangular(12), "optimal",
+         (0.8400533155614796, 0.1769410196601133, 0.26088526046873267,
+          0.006691262202449373, 0.004508841450504978)),
+        (ObservationModel.rectangular(9, 5), "optimal",
+         (0.9270243252249251, 0.6674441852715761, 0.4651782739086971,
+          0.004747900697682516, 0.00540122946458518)),
+        (ObservationModel.bernoulli_pyramid(10, 0.2), "optimal",
+         (0.4041986004665112, 0.0, 0.8373875374875042,
+          0.008958084701651776, 0.002930558927576008)),
+        (ObservationModel.iid_uniform01(8), "optimal",
+         (0.627790736421193, 0.0, 0.617919026991003,
+          0.008824051673258282, 0.005536588658750959)),
+        (ObservationModel.trend_shifted(8), _POL8,
+         (0.6767744085304899, 0.18427190936354548, 0.5098717094301899,
+          0.008537718583830983, 0.00662086446768)),
+        (ObservationModel.trend_scaled(8, 1.5), _POL8,
+         (0.30956347884038654, 0.0, 0.7987337554148617,
+          0.008439247804260015, 0.005907922948095108)),
+        (ObservationModel.trend_power(8, 0.7), _POL8,
+         (0.5531489503498833, 0.0, 0.5823475508163946,
+          0.009075476567868153, 0.007086923320745136)),
+    ], ids=["triangular", "rectangular", "pyramid", "uniform01", "shifted", "scaled", "power"])
+    def test_seeded_run(self, model, policy, want):
+        r = run(model, reps=3001, seed=42, policy=policy)
+        assert r == mc.SimResult(*want, replications=3001)
+
+
 class TestAgreementWithExactSolvers:
     def test_triangular(self):
         m = ObservationModel.triangular(50)

@@ -14,7 +14,6 @@ from stoprule.models import (
     StateRangeError,
     ThresholdPolicy,
     UnsupportedModelError,
-    validate_policy,
 )
 
 
@@ -54,6 +53,72 @@ class TestObservationModel:
         with pytest.raises(UnsupportedModelError):
             ObservationModel.iid_uniform01(3).support(1)
 
+    @pytest.mark.parametrize("model", [
+        ObservationModel.triangular(6),
+        ObservationModel.rectangular(5, 4),
+        ObservationModel.trend_shifted(5),
+    ], ids=lambda m: m.kind)
+    def test_survival_counts_support_above(self, model):
+        for j in range(1, model.n + 1):
+            lo, hi = model.support(j)
+            for v in np.arange(lo - 2.0, hi + 2.5, 0.5):
+                above = sum(1 for x in range(lo, hi + 1) if x > v)
+                assert model.survival(j, v) == above / (hi - lo + 1)
+        js = np.arange(1.0, model.n + 1.0)
+        vs = np.arange(-1.0, 2.0 * model.n + 2.0)[:, None]
+        table = model.survival(js, vs)
+        assert table.shape == (len(vs), model.n)
+        for j in range(1, model.n + 1):
+            for i, v in enumerate(vs[:, 0]):
+                assert table[i, j - 1] == model.survival(j, v)
+
+    @pytest.mark.parametrize("model", [
+        ObservationModel.triangular(6),
+        ObservationModel.rectangular(5, 4),
+        ObservationModel.trend_shifted(5),
+    ], ids=lambda m: m.kind)
+    def test_sample_stays_in_support(self, model):
+        rng = np.random.default_rng(3)
+        u = np.concatenate([rng.random((2000, model.n)), np.zeros((1, model.n)),
+                            np.full((1, model.n), np.nextafter(1.0, 0.0))])
+        x = model.sample(u)
+        assert x.shape == u.shape
+        assert np.array_equal(x, np.floor(x))
+        for j in range(1, model.n + 1):
+            lo, hi = model.support(j)
+            col = x[:, j - 1]
+            assert col.min() == lo and col.max() == hi
+
+    @pytest.mark.parametrize("model", [
+        ObservationModel.triangular(6),
+        ObservationModel.rectangular(5, 4),
+        ObservationModel.trend_shifted(5),
+        ObservationModel.trend_scaled(5, 0.7),
+        ObservationModel.trend_power(5, 2.5),
+    ], ids=lambda m: m.kind)
+    def test_sample_follows_survival(self, model):
+        # empirical P(X_j > v) of sampled columns within 5 standard errors
+        reps = 40_000
+        x = model.sample(np.random.default_rng(8).random((reps, model.n)))
+        for j in range(1, model.n + 1):
+            for v in np.linspace(j - 0.5, j + model.n, 9):
+                p = float(model.survival(j, v))
+                se = math.sqrt(max(p * (1.0 - p), 1e-12) / reps)
+                assert abs(np.mean(x[:, j - 1] > v) - p) <= 5 * se
+
+    def test_pyramid_and_uniform_samples(self):
+        u = np.random.default_rng(2).random((500, 6))
+        assert np.array_equal(ObservationModel.iid_uniform01(6).sample(u), u)
+        x = ObservationModel.bernoulli_pyramid(6, 0.3).sample(u)
+        assert np.all(x[:, 0] == 1.0)
+        for j in range(2, 7):
+            assert np.array_equal(x[:, j - 1], np.where(u[:, j - 1] < 0.3, 1.0 / j, float(j)))
+
+    def test_survival_needs_a_law(self):
+        for m in (ObservationModel.iid_uniform01(3), ObservationModel.bernoulli_pyramid(3, 0.5)):
+            with pytest.raises(UnsupportedModelError):
+                m.survival(1, 0.5)
+
     def test_outcome_count(self):
         assert ObservationModel.triangular(4).outcome_count() == 24
         assert ObservationModel.rectangular(3, 3).outcome_count() == 27
@@ -72,14 +137,21 @@ class TestObservationModel:
 
 class TestThresholdPolicy:
     def test_monotone_examples(self):
-        assert validate_policy(ThresholdPolicy((1.0, 2.0, 3.0, math.inf)))
-        assert not validate_policy(ThresholdPolicy((2.0, 1.0)))
+        assert ThresholdPolicy((1.0, 2.0, 3.0, math.inf)).is_nondecreasing()
+        assert not ThresholdPolicy((2.0, 1.0)).is_nondecreasing()
 
     def test_infinities_roundtrip(self):
         p = ThresholdPolicy((-math.inf, 0.5, math.inf))
         obj = json.loads(json.dumps(p.to_json()))
         assert obj["thresholds"] == ["-inf", 0.5, "inf"]
         assert ThresholdPolicy.from_json(obj) == p
+
+    @pytest.mark.parametrize("obj", [{}, [1, 2], {"thresholds": ["x", "inf"]},
+                                     {"thresholds": 3}, {"thresholds": "12"},
+                                     {"thresholds": [None]}, "text"])
+    def test_from_json_rejects_malformed(self, obj):
+        with pytest.raises(InvalidPolicyError):
+            ThresholdPolicy.from_json(obj)
 
     def test_rejects_empty_and_nan(self):
         with pytest.raises(InvalidPolicyError):
@@ -90,7 +162,7 @@ class TestThresholdPolicy:
     @given(st.lists(st.floats(allow_nan=False, width=32), min_size=1, max_size=12))
     def test_validate_matches_sortedness(self, values):
         policy = ThresholdPolicy(tuple(values))
-        assert validate_policy(policy) == (sorted(values) == list(values))
+        assert policy.is_nondecreasing() == (sorted(values) == list(values))
 
 
 class TestDecomposition:

@@ -12,6 +12,34 @@ from stoprule.models import (
     PrecisionError,
 )
 
+_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+
+
+def drift_success_tri_first_form(z: float) -> float:
+    """Independent single-integral route to poisson.drift_success_tri,
+    integrating the jump function along the sliding record location."""
+    if z == 0.0:
+        return 0.0
+    w = math.sqrt(2.0 * z)
+
+    def integrand(s):
+        rest = (math.sqrt(z) - s / math.sqrt(2.0)) ** 2
+        return math.exp(-w * s + 0.5 * s * s) * (w - s) * poisson.jump_success_tri(rest)
+
+    val, _ = integrate.quad(integrand, 0.0, w, **_QUAD_OPTS)
+    return val
+
+
+def jump_series_simplified(z: np.ndarray, k_max: int) -> float:
+    """Telescoped jump series valid at lam = 1 with unclamped ladder roots:
+    e^{-1}(z_1 - z_2) + sum_{k>=2} e^{-k} (z_k - z_{k+1} + (z_{k+1}^{k+1}-1)/(k+1))."""
+    pieces = [math.exp(-1.0) * (z[1] - z[2])]
+    for k in range(2, k_max + 1):
+        zk1 = z[k + 1]
+        corr = (math.exp((k + 1) * math.log(zk1)) - 1.0) / (k + 1)
+        pieces.append(math.exp(-float(k)) * (z[k] - zk1 + corr))
+    return math.fsum(pieces)
+
 
 class TestSpecialFunctions:
     def test_erf_complement_identity(self):
@@ -29,6 +57,11 @@ class TestSpecialFunctions:
             assert poisson.expint_e1(float(x)) == pytest.approx(
                 float(special.exp1(x)), rel=1e-13, abs=1e-300
             )
+
+    def test_e1_against_mpmath(self):
+        for x in np.geomspace(1e-6, 700.0, 120):
+            want = float(mpmath.e1(float(x)))
+            assert poisson.expint_e1(float(x)) == pytest.approx(want, rel=5e-15, abs=0.0)
 
     def test_e1_domain(self):
         with pytest.raises(DomainError):
@@ -99,7 +132,7 @@ class TestBoxFunctions:
     def test_tri_drift_three_routes(self, z):
         one_d = poisson.drift_success_tri(z)
         # independent single-integral route along the sliding record location
-        first_form = poisson.drift_success_tri_first_form(z)
+        first_form = drift_success_tri_first_form(z)
         assert one_d == pytest.approx(first_form, abs=1e-10)
         # raw 2-D quadrature of the defining double integral
         raw, _ = integrate.dblquad(
@@ -294,7 +327,7 @@ class TestRectLimit:
     def test_jump_series_forms_agree(self):
         k_max = poisson._auto_k_max(1.0, 1e-10)
         z = np.minimum(poisson._eqz_roots(k_max + 1), math.e)
-        simplified = poisson._jump_series_simplified(z, k_max)
+        simplified = jump_series_simplified(z, k_max)
         double = poisson._jump_series_double(z, 1.0, k_max)
         assert simplified == pytest.approx(double, abs=1e-10)
 
