@@ -123,7 +123,7 @@ def _cmd_thresholds(args) -> int:
         rows = [(j + 1, b) for j, b in enumerate(th.b)]
     else:
         model = _model_from_args(args)
-        sol = dp.solve(model, keep_tables=False)
+        sol = dp.solve(model)
         payload = {"model": model.to_json()}
         payload.update(sol.policy.to_json())
         rows = [(j + 1, b) for j, b in enumerate(sol.policy.thresholds)]
@@ -252,7 +252,7 @@ def _cmd_sweep(args) -> int:
         for n in grid:
             model = (ObservationModel.triangular(n) if args.target == "triangular"
                      else ObservationModel.rectangular(n, n))
-            rows.append((n, dp.solve(model, keep_tables=False).decomposition.total))
+            rows.append((n, dp.solve(model).decomposition.total))
         header = ("n", "v")
     else:
         raise StopRuleError(f"unknown sweep target {args.target!r}")
@@ -281,12 +281,12 @@ def _cmd_check(args) -> int:
     add("ladder_z2", abs(z2 - math.sqrt(3.0)) < 1e-9, z2)
     for n in (2, 3, 4, 5):
         model = ObservationModel.rectangular(n, n)
-        got = dp.solve(model, keep_tables=False).decomposition.total
+        got = dp.solve(model).decomposition.total
         want = dp.brute_force_oracle(model)
         add(f"oracle_rect_{n}", abs(got - want) < 1e-12, got - want)
     for n in (2, 4, 6):
         model = ObservationModel.triangular(n)
-        got = dp.solve(model, keep_tables=False).decomposition.total
+        got = dp.solve(model).decomposition.total
         want = dp.brute_force_oracle(model)
         add(f"oracle_tri_{n}", abs(got - want) < 1e-12, got - want)
     for n in (5, 40):

@@ -33,6 +33,7 @@ from .models import (
     RECTANGULAR,
     TRIANGULAR,
     Decomposition,
+    DomainError,
     InvalidPolicyError,
     ObservationModel,
     ResourceLimitError,
@@ -46,7 +47,6 @@ from .models import (
 __all__ = [
     "DpSolution",
     "stop_value",
-    "cont_value",
     "solve",
     "policy_value",
     "brute_force_oracle",
@@ -56,8 +56,6 @@ __all__ = [
 
 DEFAULT_MAX_N = 10_000
 ENUMERATION_CAP = 1_000_000
-# Above this many lattice cells, value tables are not materialized by default.
-TABLE_CELL_DEFAULT = 4_200_000
 TABLE_CELL_CAP = 80_000_000
 # Backward value and jump+drift sums must agree to this tolerance.
 _CONSISTENCY_TOL = 1e-9
@@ -99,7 +97,6 @@ class _TriLattice:
 
     def __init__(self, n: int):
         self.n = n
-        self.x_max = n
         self._lg = gammaln(np.arange(n + 3, dtype=float))
 
     def stop_col(self, j: int) -> np.ndarray:
@@ -116,7 +113,7 @@ class _TriLattice:
         return col
 
     def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
-        """P(M_j >= y) for an integer vector y (entries may reach x_max + 1),
+        """P(M_j >= y) for an integer vector y (entries may reach n + 1),
         elementwise in j as well; the empty minimum M_0 is +inf."""
         n, lg = self.n, self._lg
         t = np.minimum(j, ys - 1)
@@ -133,7 +130,6 @@ class _RectLattice:
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
-        self.x_max = k
 
     def stop_col(self, j: int) -> np.ndarray:
         """s(j, x) = ((K-x+1)/K)^(n-j)."""
@@ -160,16 +156,19 @@ def _lattice_for(model: ObservationModel):
 # Unified backward pass with jump/drift accumulation
 # ---------------------------------------------------------------------------
 
-def _lattice_pass(model: ObservationModel, policy_ints: np.ndarray | None = None,
+def _lattice_pass(model: ObservationModel, policy: ThresholdPolicy | None = None,
                   want_tables: bool = False):
-    """One backward sweep.  With policy_ints=None it solves for the optimal
-    thresholds and returns (b, jump, drift, v0, stop_tab, cont_tab); with an
-    integer policy it evaluates that rule exactly (v0 is then NaN and the
+    """One backward sweep.  With policy=None it solves for the optimal
+    thresholds and returns (b, jump, drift, v0, stop_tab, cont_tab); with a
+    policy it evaluates that rule exactly (v0 is then NaN and the
     continuation chain is "stop at every future record")."""
     lat = _lattice_for(model)
-    n, x_max = model.n, lat.x_max
-    optimal = policy_ints is None
+    n, x_max = model.n, model.support(model.n)[1]
+    optimal = policy is None
     b = np.zeros(n + 2, dtype=np.int64)
+    if not optimal:
+        # clamp to [0, x_max]: anything below the support stops nothing
+        b[1 : n + 1] = np.clip(np.floor(policy.thresholds), 0, x_max)
     b[n + 1] = x_max  # drift windows at m = n are empty either way
     # Jump mass at step j is P(M_{j-1} >= b_j + 1) * ssum_j / size_j with
     # ssum_j = sum_{lo_j <= x <= b_j} s(j, x); the prefactors are evaluated
@@ -211,8 +210,6 @@ def _lattice_pass(model: ObservationModel, policy_ints: np.ndarray | None = None
         if optimal:
             hit = np.nonzero(s_col[lo:] >= cont[lo:])[0]
             b[j] = lo + int(hit[-1])
-        else:
-            b[j] = policy_ints[j]
 
         bj = int(b[j])
         if bj >= lo:
@@ -241,42 +238,14 @@ def _lattice_pass(model: ObservationModel, policy_ints: np.ndarray | None = None
     return b[1 : n + 1], jump, drift, v0, stop_tab, cont_tab
 
 
-def _policy_to_ints(model: ObservationModel, policy: ThresholdPolicy) -> np.ndarray:
-    lat = _lattice_for(model)
-    ints = np.zeros(model.n + 1, dtype=np.int64)
-    for j, t in enumerate(policy.thresholds, start=1):
-        if t == math.inf:
-            ints[j] = lat.x_max
-        elif t == -math.inf:
-            ints[j] = 0
-        else:
-            # clamp to [0, x_max]: anything below the support stops nothing
-            ints[j] = min(max(int(math.floor(t)), 0), lat.x_max)
-    return ints
-
-
-# ---------------------------------------------------------------------------
-# Scalar table access
-# ---------------------------------------------------------------------------
-
-def _check_state(model: ObservationModel, j: int, x: int):
-    """The lattice of the model; raises unless x is in the support of X_j."""
+def stop_value(model: ObservationModel, j: int, x: int) -> float:
+    """Probability that stopping at a record value x at step j succeeds.
+    Continuation values come with the tables: solve(model, keep_tables=True)."""
     lat = _lattice_for(model)
     lo, hi = model.support(j)
     if not lo <= x <= hi:
         raise StateRangeError(f"({j}, {x}) outside the {model.kind} lattice")
-    return lat
-
-
-def stop_value(model: ObservationModel, j: int, x: int) -> float:
-    """Probability that stopping at a record value x at step j succeeds."""
-    return float(_check_state(model, j, x).stop_col(j)[x])
-
-
-def cont_value(model: ObservationModel, j: int, x: int) -> float:
-    """Best achievable success probability after skipping state (j, x)."""
-    _check_state(model, j, x)
-    return solve(model, keep_tables=True).tables.cont_value(j, x)
+    return float(lat.stop_col(j)[x])
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +316,17 @@ def _pyramid_policy_value(model: ObservationModel, policy: ThresholdPolicy) -> D
 # Public solvers
 # ---------------------------------------------------------------------------
 
-def solve(model: ObservationModel, keep_tables: bool | None = None) -> DpSolution:
+def solve(model: ObservationModel, keep_tables: bool = False) -> DpSolution:
     """Optimal stopping solution for a discrete model.
 
-    Value tables are materialized when keep_tables is True (or by default when
-    the lattice is small); the Bernoulli pyramid has no lattice tables.  The
-    step cap defaults to 10^4 and can be overridden with STOPRULE_MAX_N.
+    Value tables are materialized only when keep_tables is True; the
+    Bernoulli pyramid has no lattice tables.  The step cap defaults to 10^4
+    and can be overridden with STOPRULE_MAX_N.
     """
     if model.n > _max_n():
         raise ResourceLimitError(f"n={model.n} above cap {_max_n()} (set STOPRULE_MAX_N)")
     if model.kind == BERNOULLI_PYRAMID:
         return _pyramid_solve(model)
-    if keep_tables is None:
-        keep_tables = (model.n + 1) * (_lattice_for(model).x_max + 1) <= TABLE_CELL_DEFAULT
     b, jump, drift, v0, stop_tab, cont_tab = _lattice_pass(model, want_tables=keep_tables)
     total = jump + drift
     if abs(total - v0) > _CONSISTENCY_TOL:
@@ -394,8 +361,7 @@ def policy_value(model: ObservationModel, policy: ThresholdPolicy) -> Decomposit
         return _pyramid_policy_value(model, policy)
     if model.n > _max_n():
         raise ResourceLimitError(f"n={model.n} above cap {_max_n()}")
-    ints = _policy_to_ints(model, policy)
-    _, jump, drift, _, _, _ = _lattice_pass(model, policy_ints=ints)
+    _, jump, drift, _, _, _ = _lattice_pass(model, policy=policy)
     return Decomposition.from_parts(jump, drift)
 
 
@@ -427,7 +393,7 @@ def brute_force_oracle(model: ObservationModel, policy="optimal",
     if count > ENUMERATION_CAP:
         raise ResourceLimitError(f"{count} outcome tuples exceed cap {ENUMERATION_CAP}")
     if record_semantics not in ("weak", "strict"):
-        raise ValueError(f"record_semantics must be weak or strict, got {record_semantics!r}")
+        raise DomainError(f"record_semantics must be weak or strict, got {record_semantics!r}")
     supports = [_support_with_probs(model, j) for j in range(1, model.n + 1)]
     n = model.n
 

@@ -82,15 +82,21 @@ class SimResult:
         }
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = (int(seed) & ((1 << 64) - 1)) << 64 | (block & ((1 << 64) - 1))
-    return np.random.Generator(np.random.Philox(key=key))
+def _blocks(model: ObservationModel, seed: int, reps: int, cols: int):
+    """Observation blocks X_1..X_cols covering reps replications.  Block i
+    holds the first rows of a full block drawn from the Philox stream keyed
+    by (seed, i), so results do not depend on how blocks are processed."""
+    block = max(1, min(reps, _BLOCK_TARGET // cols))
+    for index, start in enumerate(range(0, reps, block)):
+        key = (int(seed) & ((1 << 64) - 1)) << 64 | index
+        u = np.random.Generator(np.random.Philox(key=key)).random((block, cols))
+        yield model.sample(u[: min(block, reps - start)])
 
 
 def optimal_policy(model: ObservationModel) -> ThresholdPolicy:
     """Optimal thresholds from the matching exact solver."""
     if model.kind in (TRIANGULAR, RECTANGULAR, BERNOULLI_PYRAMID):
-        return dp.solve(model, keep_tables=False).policy
+        return dp.solve(model).policy
     if model.kind == IID_UNIFORM01:
         return fullinfo.gm_optimal_thresholds(model.n).as_policy()
     raise UnsupportedModelError(f"no optimal-policy solver for {model.kind}")
@@ -112,35 +118,29 @@ def simulate(config: SimConfig) -> SimResult:
     b = np.asarray(policy.thresholds)
     strict = config.record_semantics == "strict"
     reps = config.replications
-    block = max(1, min(reps, _BLOCK_TARGET // n))
 
     n_success = 0
     n_tie = 0
     sum_tau = 0
     sum_tau_sq = 0
-    done = 0
-    index = 0
-    while done < reps:
-        rows = min(block, reps - done)
-        x = model.sample(_block_rng(config.seed, index).random((block, n)))[:rows]
+    for x in _blocks(model, config.seed, reps, n):
         m = np.minimum.accumulate(x, axis=1)
-        prev = np.empty_like(m)
-        prev[:, 0] = np.inf
-        prev[:, 1:] = m[:, :-1]
-        record = (x < prev) if strict else (x <= prev)
+        # X_j is a weak record iff it is the running minimum M_j, and a
+        # strict one iff moreover M_{j-1} > X_j.
+        record = x == m
+        if strict:
+            record[:, 1:] &= m[:, :-1] > x[:, 1:]
         stoppable = record & (x <= b[None, :])
         has = stoppable.any(axis=1)
         first = stoppable.argmax(axis=1)
         tau = np.where(has, first + 1, n)
         final_min = m[:, -1]
-        value = x[np.arange(rows), first]
+        value = x[np.arange(len(x)), first]
         success = has & (value == final_min)
         n_success += int(np.count_nonzero(success))
         n_tie += int(np.count_nonzero(np.count_nonzero(x == final_min[:, None], axis=1) >= 2))
         sum_tau += int(tau.sum())
         sum_tau_sq += int((tau.astype(np.int64) ** 2).sum())
-        done += rows
-        index += 1
 
     p = n_success / reps
     mean_tau = sum_tau / reps
@@ -214,16 +214,7 @@ def scaling_check(model: ObservationModel, replications: int = 100_000,
     j_cut = min(n, int(math.ceil(x_hi * scale)) + 1)
     cap = x_hi * scale
 
-    samples = np.empty(replications)
-    done = 0
-    index = 0
-    block = max(1, _BLOCK_TARGET // j_cut)
-    while done < replications:
-        rows = min(block, replications - done)
-        x = model.sample(_block_rng(seed, index).random((block, j_cut))[:rows])
-        samples[done : done + rows] = x.min(axis=1)
-        done += rows
-        index += 1
+    samples = np.concatenate([x.min(axis=1) for x in _blocks(model, seed, replications, j_cut)])
 
     clipped = int(np.count_nonzero(samples > cap))
     samples = np.minimum(samples, cap)
@@ -279,7 +270,7 @@ def bounds_check(n: int, k: int, reps: int = 200_000, seed: int = 0) -> BoundsRe
     model = ObservationModel.rectangular(n, k)
     v_lower = fullinfo.sakaguchi_value(n)
     delta = fullinfo.tie_probability(model)
-    exact = dp.solve(model, keep_tables=False).decomposition.total
+    exact = dp.solve(model).decomposition.total
     sim = simulate(SimConfig(model=model, replications=reps, seed=seed))
     tol = 1e-12
     exact_ok = (v_lower - tol <= exact <= v_lower + delta + tol)

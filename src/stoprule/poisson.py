@@ -16,6 +16,7 @@ limits, general cutoff boundaries, lambda-intensity interpolation).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -214,13 +215,9 @@ def beta_star(geometry: str) -> RootReport:
     )
 
 
-def _beta_star_value(geometry: str) -> float:
-    if geometry not in _BETA_CACHE:
-        _BETA_CACHE[geometry] = beta_star(geometry).root
-    return _BETA_CACHE[geometry]
-
-
-_BETA_CACHE: dict[str, float] = {}
+@functools.cache
+def _rect_beta_star() -> float:
+    return beta_star("rect").root
 
 
 def _prob_jump_passage(geometry: str, beta: float) -> float:
@@ -255,14 +252,14 @@ def success_prob_boundary(geometry: str, beta: float) -> float:
 def samuels_value() -> float:
     """Limit value of the full-information minimum game:
     e^{-b} + (e^b - 1 - b) E1(b) at b = beta_star('rect')."""
-    b = _beta_star_value("rect")
+    b = _rect_beta_star()
     return math.exp(-b) + (math.exp(b) - 1.0 - b) * expint_e1(b)
 
 
 def gm_limit_finite_T(T: float) -> float:
     """Finite-horizon variant of samuels_value: the exponential integral is
     truncated at T.  Defined for T >= beta_star('rect')."""
-    b = _beta_star_value("rect")
+    b = _rect_beta_star()
     if T < b:
         raise DomainError(f"T must be >= {b:.6f}, got {T}")
     tail = expint_e1(b) - (0.0 if math.isinf(T) else expint_e1(T))

@@ -34,7 +34,7 @@ def report(name, detail):
 def triangular_sweep():
     values = {}
     for n in range(100, 9001, 100):
-        values[n] = dp.solve(ObservationModel.triangular(n), keep_tables=False).decomposition.total
+        values[n] = dp.solve(ObservationModel.triangular(n)).decomposition.total
     return values
 
 
@@ -42,7 +42,7 @@ def triangular_sweep():
 def rectangular_sweep():
     values = {}
     for n in range(100, 2001, 100):
-        values[n] = dp.solve(ObservationModel.rectangular(n, n), keep_tables=False).decomposition.total
+        values[n] = dp.solve(ObservationModel.rectangular(n, n)).decomposition.total
     return values
 
 
@@ -179,7 +179,7 @@ def test_c08_sandwich_bound():
     floor_val = 0.580164
     for n in range(2, 401):
         m = ObservationModel.rectangular(n, n)
-        v = dp.solve(m, keep_tables=False).decomposition.total
+        v = dp.solve(m).decomposition.total
         lo = fullinfo.sakaguchi_value(n)
         hi = lo + fullinfo.tie_probability(m)
         assert lo - 1e-12 <= v <= hi + 1e-12, f"n={n}: {lo} <= {v} <= {hi}"

@@ -81,6 +81,23 @@ class TestValue:
         assert lines[0] == "j,x,s,v"
         assert len(lines) == 1 + 6
 
+    # Exact bytes of the tables CSV, recorded before the table path changed.
+    @pytest.mark.parametrize("model_args,want", [
+        (("rectangular", "--n", "3", "--k", "2"),
+         "j,x,s,v\n1,1,1,0.75\n1,2,0.25,1\n2,1,1,0.5\n2,2,0.5,1\n3,1,1,0\n3,2,1,0\n"),
+        (("triangular", "--n", "5"),
+         "j,x,s,v\n1,1,1,0\n1,2,1,0.25\n1,3,0.75,0.666666666667\n"
+         "1,4,0.333333333333,0.916666666667\n1,5,0.0416666666667,0.958333333333\n"
+         "2,2,1,0\n2,3,1,0.333333333333\n2,4,0.666666666667,0.833333333333\n"
+         "2,5,0.166666666667,1\n3,3,1,0\n3,4,1,0.5\n3,5,0.5,1\n"
+         "4,4,1,0\n4,5,1,1\n5,5,1,0\n"),
+    ], ids=["rectangular", "triangular"])
+    def test_tables_csv_bytes(self, capsys, tmp_path, model_args, want):
+        path = tmp_path / "tables.csv"
+        code, _, _ = run_cli(capsys, "value", "--model", *model_args, "--tables", str(path))
+        assert code == 0
+        assert path.read_bytes() == want.encode()
+
     def test_over_cap_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("STOPRULE_MAX_N", "10")
         code, _, err = run_cli(capsys, "value", "--model", "triangular", "--n", "11")

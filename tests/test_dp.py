@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stoprule import dp
 from stoprule.models import (
+    DomainError,
     InvalidPolicyError,
     ObservationModel,
     ResourceLimitError,
@@ -63,15 +64,19 @@ class TestStopValue:
             dp.stop_value(ObservationModel.iid_uniform01(3), 1, 1)
 
 
+def cont_value(model, j, x):
+    return dp.solve(model, keep_tables=True).tables.cont_value(j, x)
+
+
 class TestContValue:
     def test_rectangular_n2(self):
         m = ObservationModel.rectangular(2, 2)
         # v(1,2) = (1/2)(s(2,1) + s(2,2)) = 1
-        assert dp.cont_value(m, 1, 2) == pytest.approx(1.0, abs=1e-15)
+        assert cont_value(m, 1, 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_last_step_zero(self):
-        assert dp.cont_value(ObservationModel.rectangular(3, 4), 3, 2) == 0.0
-        assert dp.cont_value(ObservationModel.triangular(5), 5, 5) == 0.0
+        assert cont_value(ObservationModel.rectangular(3, 4), 3, 2) == 0.0
+        assert cont_value(ObservationModel.triangular(5), 5, 5) == 0.0
 
     def test_matches_recursive_oracle(self):
         # Optimal continuation after skipping state (j, x), by recursion over
@@ -101,13 +106,13 @@ class TestContValue:
         m = ObservationModel.triangular(3)
         for j in range(1, 4):
             for x in range(j, 4):
-                assert dp.cont_value(m, j, x) == pytest.approx(
+                assert cont_value(m, j, x) == pytest.approx(
                     continuation_oracle(m, j, x), abs=1e-12
                 )
         m = ObservationModel.rectangular(3, 3)
         for j in range(1, 4):
             for x in range(1, 4):
-                assert dp.cont_value(m, j, x) == pytest.approx(
+                assert cont_value(m, j, x) == pytest.approx(
                     continuation_oracle(m, j, x), abs=1e-12
                 )
 
@@ -347,3 +352,7 @@ class TestBruteForce:
     def test_rejects_continuous(self):
         with pytest.raises(UnsupportedModelError):
             dp.brute_force_oracle(ObservationModel.iid_uniform01(3))
+
+    def test_unknown_record_semantics(self):
+        with pytest.raises(DomainError):
+            dp.brute_force_oracle(ObservationModel.triangular(3), record_semantics="loose")

@@ -70,6 +70,50 @@ class TestPinnedResults:
         r = run(model, reps=3001, seed=42, policy=policy)
         assert r == mc.SimResult(*want, replications=3001)
 
+    # Strict records, one multi-block weak run (80,000-row blocks at n = 50,
+    # the last one partial) and scaling_check on the trend kinds, in several
+    # blocks and in one short block: the same promise of identical output
+    # covers the record scan and the block partition.
+    @pytest.mark.parametrize("model,policy,want", [
+        (ObservationModel.triangular(12), "optimal",
+         (0.7874041986004665, 0.1769410196601133, 0.29973342219260246,
+          0.00746866890442154, 0.005518474375803276)),
+        (ObservationModel.rectangular(9, 5), "optimal",
+         (0.878373875374875, 0.6674441852715761, 0.4773964234144174,
+          0.005966506829238674, 0.0057174156036590195)),
+        (ObservationModel.trend_shifted(8), _POL8,
+         (0.5774741752749084, 0.18427190936354548, 0.5618543818727091,
+          0.009016955263710049, 0.0070753562243262205)),
+    ], ids=["triangular", "rectangular", "shifted"])
+    def test_seeded_strict_run(self, model, policy, want):
+        r = run(model, reps=3001, seed=42, policy=policy, record_semantics="strict")
+        assert r == mc.SimResult(*want, replications=3001)
+
+    def test_seeded_multi_block_run(self):
+        r = run(ObservationModel.triangular(50), reps=200_001, seed=42)
+        assert r == mc.SimResult(0.7665361673191634, 0.08757456212718936,
+                                 0.1855884720576397, 0.0009459322827848919,
+                                 0.0006416465826339813, replications=200_001)
+
+    @pytest.mark.parametrize("model,reps,want", [
+        (ObservationModel.trend_shifted(4000), 30_000,
+         (0.009399318911632593, 0.0026655367928599683)),
+        (ObservationModel.trend_shifted(4000), 777,
+         (0.03694120354497443, 0.03653954029542206)),
+        (ObservationModel.trend_scaled(4000, 2.0), 30_000,
+         (0.004782938247035129, 0.004303965140353083)),
+        (ObservationModel.trend_scaled(4000, 2.0), 777,
+         (0.027733044585671274, 0.02519705840116432)),
+        (ObservationModel.trend_power(4000, 1.0), 30_000,
+         (0.005020544768532337, 0.003231857313283959)),
+        (ObservationModel.trend_power(4000, 1.0), 777,
+         (0.039146665969207795, 0.038743145425294445)),
+    ], ids=["shifted-30000", "shifted-777", "scaled-30000", "scaled-777",
+            "power-30000", "power-777"])
+    def test_seeded_scaling_check(self, model, reps, want):
+        rep = mc.scaling_check(model, replications=reps, seed=4)
+        assert (rep.sup_limit, rep.sup_exact, rep.note) == (*want, "")
+
 
 class TestAgreementWithExactSolvers:
     def test_triangular(self):
