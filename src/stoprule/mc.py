@@ -206,6 +206,8 @@ def scaling_check(model: ObservationModel, replications: int = 100_000,
     range, so sampling is truncated there; the neglected mass is bounded by
     the limit tail at x_hi (e^{-32} at the default).
     """
+    if replications < 1:
+        raise DomainError("replications must be >= 1")
     scale, limit_cdf = _scaling_spec(model)
     n = model.n
     if n < 10:

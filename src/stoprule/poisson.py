@@ -367,34 +367,92 @@ def ladder_residual(k: int, z: float) -> float:
     return float(np.sum(np.expm1(js * lnz) / js)) - 1.0
 
 
-# Cache of level-equation roots; entry [k] is the root for level k, [1] = inf
-# (level 1 is always stoppable, the clamp maps it to e^lam).
-_EQZ_ROOTS: list[float] = [math.nan, math.inf]
+# Largest truncation the level series will build (8 bytes of roots per level).
+MAX_LEVELS = 5_000_000
+
+# Terms kept of the moment series below.  With w = k ln z <= ln 3, as at every
+# root and at every clamped level k >= 2, the dropped terms sum to below 1e-29.
+_MOMENTS = 28
+_INV_M = 1.0 / np.arange(1.0, _MOMENTS + 1.0)
+# Levels per block of the moment table, so its memory does not grow with k.
+_CHUNK = 4096
 
 
-def _eqz_roots(k_max: int) -> np.ndarray:
-    while len(_EQZ_ROOTS) <= k_max:
-        k = len(_EQZ_ROOTS)
-        hi = _EQZ_ROOTS[k - 1] if k > 2 else 2.0
-        root = optimize.brentq(
-            lambda z: ladder_residual(k, z),
-            1.0 + 1e-13, hi,
-            xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200,
-        )
-        _EQZ_ROOTS.append(float(root))
-    return np.asarray(_EQZ_ROOTS[: k_max + 1])
+def _moments(k_stop: int):
+    """Yield (k, T) for the levels k = 2..k_stop in blocks, where
+    T[i, m - 1] = T_m(k_i) = k_i^{-m} sum_{j=2}^{k_i} j^{m-1}, in (0, 1].
+
+    With w = k ln z, sum_{j=2}^k (z^j - 1)/j = sum_{m>=1} w^m/m! T_m(k), a
+    series of positive terms.  The power sums run on from block to block; the
+    largest, near k^{_MOMENTS}, stays below 1e188 at k = MAX_LEVELS.
+    """
+    p = np.arange(_MOMENTS, dtype=float)
+    carry = np.zeros(_MOMENTS)
+    for lo in range(2, k_stop + 1, _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, k_stop + 1), dtype=float)
+        powers = k[:, None] ** p
+        sums = np.cumsum(powers, axis=0)
+        sums += carry
+        carry = sums[-1].copy()
+        yield k, sums / (powers * k[:, None])
+
+
+def _difference_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows (a^m - b^m)/((a - b) m!) for m = 1.._MOMENTS, from the positive
+    sums a^{m-1} + a^{m-2} b + ... + b^{m-1}, so a ~ b does not cancel."""
+    out = np.empty((len(a), _MOMENTS))
+    out[:, 0] = 1.0
+    b_term = np.ones_like(b)
+    for m in range(2, _MOMENTS + 1):
+        b_term = b_term * b / (m - 1)
+        out[:, m - 1] = (a * out[:, m - 2] + b_term) / m
+    return out
+
+
+def _log_roots(k_stop: int) -> np.ndarray:
+    """ln z_k of the unclamped level-equation roots for k = 1..k_stop; entry
+    [0] is NaN and entry [1] inf (level 1 is always stoppable).
+
+    Each block of levels is solved at once by Newton on w = k ln z, from
+    w = 0.8: the moment series is convex and increasing in w, and every root
+    lies above 0.8, so after the first step the iterates decrease to it.
+    """
+    logs = np.empty(k_stop + 1)
+    logs[0], logs[1] = math.nan, math.inf
+    for k, t in _moments(k_stop):
+        w = np.full(len(k), 0.8)
+        for _ in range(50):
+            terms = np.cumprod(w[:, None] * _INV_M, axis=1)  # w^m/m!
+            value = np.einsum("ij,ij->i", terms, t) - 1.0
+            slope = t[:, 0] + np.einsum("ij,ij->i", terms[:, :-1], t[:, 1:])
+            step = value / slope
+            w -= step
+            if np.max(np.abs(step)) <= 1e-12:
+                break
+        else:
+            raise PrecisionError(f"level roots did not converge near k = {int(k[0])}")
+        lo = int(k[0])
+        logs[lo : lo + len(k)] = w / k
+    return logs
+
+
+def _check_levels(k_max: int) -> None:
+    if k_max > MAX_LEVELS:
+        raise ResourceLimitError(f"k_max={k_max} exceeds the cap of {MAX_LEVELS} levels")
 
 
 def rect_roots(k_max: int, lam: float = 1.0) -> BoundaryLadder:
     """Ladder of boundary roots z_k and cutoffs t_k = 1 - ln(z_k)/lam for the
     integer-level model with intensity lam.  Level-1 stopping is always
-    optimal (t_1 = 0); roots at or above e^lam are clamped there."""
+    optimal (t_1 = 0); roots at or above e^lam are clamped there.  A k_max
+    above MAX_LEVELS raises ResourceLimitError."""
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    cap = math.exp(lam)
-    roots = np.minimum(_eqz_roots(k_max), cap)
+    _check_levels(k_max)
+    roots = np.exp(_log_roots(k_max))
+    np.minimum(roots, math.exp(lam), out=roots)
     cutoffs = 1.0 - np.log(roots) / lam
     cutoffs = np.clip(cutoffs, 0.0, 1.0)
     cutoffs[0] = math.nan
@@ -417,13 +475,17 @@ def _auto_k_max(lam: float, tol: float) -> int:
     k = max(8, int(math.ceil(math.log((math.expm1(lam) + 2.3) / (tol * (1.0 - math.exp(-lam)))) / lam)))
     while rect_limit_tail_bound(lam, k) > tol:
         k = int(k * 1.25) + 8
-        if k > 5_000_000:
+        if k > MAX_LEVELS:
             raise ResourceLimitError(f"level series will not reach tol={tol} at lam={lam}")
     return k
 
 
 def _jump_series_double(zlam: np.ndarray, lam: float, k_max: int) -> float:
-    """Jump series sum_k e^{-lam k} sum_{j<=k} (z_k^j - z_{k+1}^j)/j."""
+    """Jump series sum_k e^{-lam k} sum_{j<=k} (z_k^j - z_{k+1}^j)/j, in O(k_max²).
+
+    Kept for arbitrary cutoffs, where k ln z_k is unbounded and the moment
+    series of _level_series does not apply.
+    """
     pieces = []
     lnz = np.log(zlam)
     for k in range(1, k_max + 1):
@@ -437,12 +499,37 @@ def _jump_series_double(zlam: np.ndarray, lam: float, k_max: int) -> float:
     return math.fsum(pieces)
 
 
+def _level_series(u: np.ndarray, lam: float, k_max: int) -> tuple[float, float]:
+    """Jump and drift series over levels 1..k_max of the optimal ladder, given
+    u_k = ln z_k clamped at lam for k = 1..k_max + 1.
+
+    The jump inner sum of level k >= 2 is (z_k - z_{k+1})
+    + sum_m (a^m - b^m)/m! T_m(k) with a = k u_k and b = k u_{k+1}, both at
+    most ln 3 on this ladder; level 1 contributes e^{-lam} (z_1 - z_2).
+    Root differences are formed from u_k - u_{k+1}, which is exact, so they
+    keep the relative precision that z_k - z_{k+1} would lose.
+    """
+    jump = [-math.expm1(u[2] - lam)]
+    drift = []
+    for k, t in _moments(k_max):
+        lo = int(k[0])
+        uk, uk1 = u[lo : lo + len(k)], u[lo + 1 : lo + len(k) + 1]
+        gap = uk - uk1
+        inner = (np.exp(uk1) * np.expm1(gap)
+                 + k * gap * np.einsum("ij,ij->i", _difference_terms(k * uk, k * uk1), t))
+        weight = np.exp(-lam * k)
+        jump.append(math.fsum(weight * inner))
+        drift.append(math.fsum(weight * np.exp(uk) * np.expm1(lam - uk)))
+    return math.fsum(jump), math.fsum(drift)
+
+
 def rect_limit(lam: float, k_max: int | None = None, tol: float = 1e-10) -> Decomposition:
     """Limit success probability for the integer-level model at intensity lam,
     split into jump and drift series over the levels.
 
     k_max defaults to the smallest truncation whose geometric tail bound is
     below tol; an explicit k_max that cannot meet tol raises PrecisionError.
+    A k_max, explicit or automatic, above MAX_LEVELS raises ResourceLimitError.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
@@ -454,16 +541,10 @@ def rect_limit(lam: float, k_max: int | None = None, tol: float = 1e-10) -> Deco
             f"k_max={k_max} leaves tail above tol={tol}; need k_max >= {required}",
             required_k_max=required,
         )
-    cap = math.exp(lam)
-    zlam = np.minimum(_eqz_roots(k_max + 1), cap)
-    drift_terms = [
-        math.exp(-lam * k) * (cap - zlam[k])
-        for k in range(2, k_max + 1)
-        if zlam[k] < cap
-    ]
-    drift = math.fsum(drift_terms)
-    jump = _jump_series_double(zlam, lam, k_max)
-    return Decomposition.from_parts(jump, drift)
+    _check_levels(k_max)
+    u = _log_roots(k_max + 1)
+    np.minimum(u, lam, out=u)
+    return Decomposition.from_parts(*_level_series(u, lam, k_max))
 
 
 def rect_general_boundary(cutoffs) -> Decomposition:

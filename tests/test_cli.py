@@ -56,6 +56,18 @@ class TestRoots:
         assert [r["k"] for r in obj["roots"]] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("args", [
+    ("roots", "--kmax", "6000000"),
+    ("limit", "--lambda", "1", "--kmax", "6000000"),
+], ids=["roots", "limit"])
+def test_kmax_above_level_cap_exits_1(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "5000000" in err
+
+
 class TestValue:
     def test_triangular_n1(self, capsys):
         code, out, _ = run_cli(capsys, "value", "--model", "triangular", "--n", "1")

@@ -248,6 +248,10 @@ class TestScalingCheck:
         with pytest.raises(UnsupportedModelError):
             mc.scaling_check(ObservationModel.rectangular(100, 100))
 
+    def test_no_replications(self):
+        with pytest.raises(DomainError, match="replications must be >= 1"):
+            mc.scaling_check(ObservationModel.trend_shifted(100), replications=0)
+
 
 class TestBoundsCheck:
     def test_exact_and_simulated_bounds(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from stoprule.models import (
     DomainError,
     InvalidPolicyError,
     PrecisionError,
+    ResourceLimitError,
 )
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -39,6 +41,61 @@ def jump_series_simplified(z: np.ndarray, k_max: int) -> float:
         corr = (math.exp((k + 1) * math.log(zk1)) - 1.0) / (k + 1)
         pieces.append(math.exp(-float(k)) * (z[k] - zk1 + corr))
     return math.fsum(pieces)
+
+
+def brentq_ladder(k_max: int) -> np.ndarray:
+    """Level roots solved one level at a time by brentq on the O(k) residual,
+    bracketed by the root of the level below; [0] is NaN and [1] inf."""
+    roots = [math.nan, math.inf]
+    for k in range(2, k_max + 1):
+        hi = roots[k - 1] if k > 2 else 2.0
+        roots.append(optimize.brentq(
+            lambda z: poisson.ladder_residual(k, z),
+            1.0 + 1e-13, hi,
+            xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200,
+        ))
+    return np.asarray(roots)
+
+
+def mpmath_level_series(lam: float, k_max: int):
+    """Jump and drift series of the integer-level limit at 30 digits, sharing
+    no arithmetic with poisson: each root by Newton on the direct level sum
+    from its double value, each jump inner sum term by term."""
+    guess = poisson.rect_roots(k_max + 1, lam).roots
+    with mpmath.workdps(30):
+        lam_mp = mpmath.mpf(lam)
+        cap = mpmath.exp(lam_mp)
+        z = [None, cap]
+        for k in range(2, k_max + 2):
+            x = mpmath.mpf(float(guess[k]))
+            for _ in range(50):
+                power, value, slope = x, mpmath.mpf(-1), mpmath.mpf(0)
+                for j in range(2, k + 1):
+                    slope += power
+                    power *= x
+                    value += (power - 1) / j
+                step = value / slope
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -28:
+                    break
+            z.append(min(x, cap))
+        jump = drift = mpmath.mpf(0)
+        for k in range(1, k_max + 1):
+            pa = pb = mpmath.mpf(1)
+            inner = mpmath.mpf(0)
+            for j in range(1, k + 1):
+                pa *= z[k]
+                pb *= z[k + 1]
+                inner += (pa - pb) / j
+            jump += mpmath.exp(-lam_mp * k) * inner
+            if k >= 2:
+                drift += mpmath.exp(-lam_mp * k) * (cap - z[k])
+        return float(jump), float(drift), float(jump + drift)
+
+
+@pytest.fixture(scope="module")
+def reference_ladder():
+    return brentq_ladder(3001)
 
 
 class TestSpecialFunctions:
@@ -309,6 +366,12 @@ class TestLadder:
         assert ladder.root(3) < math.exp(lam)
         assert ladder.cutoff(3) > 0.0
 
+    @pytest.mark.parametrize("lam", [1.0, 0.5, 0.003])
+    def test_roots_match_brentq(self, reference_ladder, lam):
+        got = poisson.rect_roots(3000, lam).roots[1:]
+        want = np.minimum(reference_ladder[1:3001], math.exp(lam))
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             poisson.rect_roots(0)
@@ -326,15 +389,22 @@ class TestRectLimit:
 
     def test_jump_series_forms_agree(self):
         k_max = poisson._auto_k_max(1.0, 1e-10)
-        z = np.minimum(poisson._eqz_roots(k_max + 1), math.e)
+        z = np.minimum(np.exp(poisson._log_roots(k_max + 1)), math.e)
         simplified = jump_series_simplified(z, k_max)
         double = poisson._jump_series_double(z, 1.0, k_max)
         assert simplified == pytest.approx(double, abs=1e-10)
 
+    @pytest.mark.parametrize("lam", [0.003, 0.05, 1.0, 2.0, 5.0])
+    def test_moment_jump_series_matches_double(self, lam):
+        k_max = poisson._auto_k_max(lam, 1e-10)
+        u = np.minimum(poisson._log_roots(k_max + 1), lam)
+        jump, _ = poisson._level_series(u, lam, k_max)
+        assert jump == pytest.approx(poisson._jump_series_double(np.exp(u), lam, k_max), abs=1e-13)
+
     def test_closed_series_total(self):
         # telescoped total with explicit constants
         k_max = 80
-        z = np.minimum(poisson._eqz_roots(k_max + 2), math.e)
+        z = np.minimum(np.exp(poisson._log_roots(k_max + 2)), math.e)
         tail = math.fsum(
             math.exp(-k) * (z[k + 1] - math.exp((k + 1) * math.log(z[k + 1])) / (k + 1))
             for k in range(2, k_max)
@@ -350,6 +420,25 @@ class TestRectLimit:
         assert poisson.rect_limit(0.003).total == pytest.approx(
             poisson.samuels_value(), abs=5e-3
         )
+
+    def test_series_against_mpmath(self):
+        lam = 0.1
+        d = poisson.rect_limit(lam)
+        jump, drift, total = mpmath_level_series(lam, poisson._auto_k_max(lam, 1e-10))
+        assert d.jump == pytest.approx(jump, abs=3e-16)
+        assert d.drift == pytest.approx(drift, abs=3e-16)
+        assert d.total == pytest.approx(total, abs=3e-16)
+
+    def test_very_small_intensity(self):
+        # k_max = 106,570 levels; the moment table is built in fixed blocks
+        tracemalloc.start()
+        try:
+            total = poisson.rect_limit(3e-4).total
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert poisson.samuels_value() < total < poisson.samuels_value() + 1e-4
+        assert peak < 64e6
 
     def test_monotone_in_intensity(self):
         lams = [0.02, 0.1, 0.3, 0.6, 1.0]
@@ -372,6 +461,14 @@ class TestRectLimit:
     def test_domain(self):
         with pytest.raises(DomainError):
             poisson.rect_limit(0.0)
+
+    def test_level_cap(self):
+        with pytest.raises(ResourceLimitError):
+            poisson.rect_limit(1.0, k_max=poisson.MAX_LEVELS + 1)
+        with pytest.raises(ResourceLimitError):  # automatic k_max near 7.2M
+            poisson.rect_limit(5e-6)
+        with pytest.raises(ResourceLimitError):
+            poisson.rect_roots(poisson.MAX_LEVELS + 1)
 
 
 class TestGeneralBoundary:
