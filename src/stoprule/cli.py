@@ -8,6 +8,7 @@ computation errors (caps, precision, invalid policies).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -45,22 +46,27 @@ def _round12(obj):
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
-    """Write JSON (default) or CSV to --output / stdout."""
-    want_csv = getattr(args, "format", "json") == "csv"
-    if want_csv:
+    """Write JSON (default) or CSV to --output / stdout.  CSV rows may be a
+    generator; they are written as they are produced."""
+    if getattr(args, "format", "json") == "csv":
         if csv_rows is None:
             raise StopRuleError("this subcommand has no CSV form")
-        lines = [",".join(csv_header)]
-        lines += [",".join(_fmt(v) for v in row) for row in csv_rows]
-        text = "\n".join(lines) + "\n"
+        lines = itertools.chain(
+            [",".join(csv_header) + "\n"],
+            (",".join(_fmt(v) for v in row) + "\n" for row in csv_rows),
+        )
     else:
-        text = json.dumps(_round12(payload)) + "\n"
+        lines = [json.dumps(_round12(payload)) + "\n"]
+    _write(args, lines)
+
+
+def _write(args, chunks):
     out = getattr(args, "output", None)
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _model_from_args(args) -> ObservationModel:
@@ -116,17 +122,11 @@ def _parse_grid(text: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_thresholds(args) -> int:
-    if args.model == "uniform01":
-        th = fullinfo.gm_optimal_thresholds(args.n)
-        payload = {"model": {"kind": "uniform01", "n": args.n, "params": {}}}
-        payload.update(th.as_policy().to_json())
-        rows = [(j + 1, b) for j, b in enumerate(th.b)]
-    else:
-        model = _model_from_args(args)
-        sol = dp.solve(model)
-        payload = {"model": model.to_json()}
-        payload.update(sol.policy.to_json())
-        rows = [(j + 1, b) for j, b in enumerate(sol.policy.thresholds)]
+    model = _model_from_args(args)
+    policy = mc.optimal_policy(model)
+    payload = {"model": model.to_json()}
+    payload.update(policy.to_json())
+    rows = [(j + 1, b) for j, b in enumerate(policy.thresholds)]
     _emit(args, payload, rows, ("j", "b"))
     return 0
 
@@ -212,12 +212,22 @@ def _cmd_limit(args) -> int:
 
 def _cmd_roots(args) -> int:
     ladder = poisson.rect_roots(args.kmax, args.lam)
-    rows = [(k, ladder.root(k), ladder.cutoff(k)) for k in range(1, args.kmax + 1)]
-    payload = {
-        "lambda": args.lam,
-        "roots": [{"k": k, "z": z, "t": t} for k, z, t in rows],
-    }
-    _emit(args, payload, rows, ("k", "z", "t"))
+    levels = range(1, args.kmax + 1)
+    if args.format == "csv":
+        rows = ((k, ladder.root(k), ladder.cutoff(k)) for k in levels)
+        _emit(args, None, rows, ("k", "z", "t"))
+        return 0
+
+    # Written in blocks of levels, so memory does not grow with --kmax; the
+    # bytes are those of json.dumps on the whole {"lambda", "roots": [...]}.
+    def blocks():
+        for lo in range(0, args.kmax, 4096):
+            rows = [{"k": k, "z": ladder.root(k), "t": ladder.cutoff(k)}
+                    for k in levels[lo : lo + 4096]]
+            yield (", " if lo else "") + json.dumps(_round12(rows))[1:-1]
+
+    head = json.dumps(_round12({"lambda": args.lam, "roots": []}))[:-2]
+    _write(args, itertools.chain([head], blocks(), ["]}\n"]))
     return 0
 
 

@@ -36,8 +36,8 @@ from .models import (
     DomainError,
     InvalidPolicyError,
     ObservationModel,
+    PrecisionError,
     ResourceLimitError,
-    StateRangeError,
     StopRuleError,
     ThresholdPolicy,
     UnsupportedModelError,
@@ -46,7 +46,6 @@ from .models import (
 
 __all__ = [
     "DpSolution",
-    "stop_value",
     "solve",
     "policy_value",
     "brute_force_oracle",
@@ -238,16 +237,6 @@ def _lattice_pass(model: ObservationModel, policy: ThresholdPolicy | None = None
     return b[1 : n + 1], jump, drift, v0, stop_tab, cont_tab
 
 
-def stop_value(model: ObservationModel, j: int, x: int) -> float:
-    """Probability that stopping at a record value x at step j succeeds.
-    Continuation values come with the tables: solve(model, keep_tables=True)."""
-    lat = _lattice_for(model)
-    lo, hi = model.support(j)
-    if not lo <= x <= hi:
-        raise StateRangeError(f"({j}, {x}) outside the {model.kind} lattice")
-    return float(lat.stop_col(j)[x])
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli pyramid (two-valued ranks; no lattice)
 # ---------------------------------------------------------------------------
@@ -258,58 +247,28 @@ def _pyramid_cutoff(n: int, p: float) -> int:
     return max(1, n - math.floor((1.0 - p) / p + 1e-9))
 
 
-def _pyramid_solve(model: ObservationModel) -> DpSolution:
-    n, p = model.n, model.p
-    c = _pyramid_cutoff(n, p)
-    if c == 1:
-        total = (1.0 - p) ** (n - 1)
-        jump, drift = total, 0.0
-    else:
-        jump = p * (1.0 - p) ** (n - c)
-        drift = (n - c) * p * (1.0 - p) ** (n - c)
-        total = jump + drift
-    thresholds = tuple([-math.inf] * (c - 1) + [math.inf] * (n - c + 1))
-    return DpSolution(
-        model=model,
-        tables=None,
-        policy=ThresholdPolicy(thresholds),
-        decomposition=Decomposition(jump, drift, total),
-    )
-
-
 def _pyramid_policy_value(model: ObservationModel, policy: ThresholdPolicy) -> Decomposition:
     n, p = model.n, model.p
-    bs = policy.thresholds
+    bs = np.asarray(policy.thresholds)
     # Record values are 1 at step 1 and 1/j afterwards; with nondecreasing
     # thresholds the stoppable steps form an upper range [c, n].
-    c = None
-    for j in range(1, n + 1):
-        value = 1.0 if j == 1 else 1.0 / j
-        if value <= bs[j - 1]:
-            c = j
-            break
-    if c is None:
+    hit = np.nonzero(1.0 / np.arange(1, n + 1) <= bs)[0]
+    if len(hit) == 0:
         return Decomposition(0.0, 0.0, 0.0)
+    c = int(hit[0]) + 1
     if c == 1:
         total = (1.0 - p) ** (n - 1)
         return Decomposition(total, 0.0, total)
-    # Stop happens at the first low draw in [c, n]; the pre-c low pattern only
-    # matters through the running minimum seen at the stop, which decides the
-    # jump/drift attribution.
+    # Stop happens at the first low draw j in [c, n] and succeeds when it is
+    # the last one.  The running minimum M_{c-1} seen before it decides the
+    # jump/drift attribution: M_{c-1} > b_{j-1} iff b_{j-1} < 1 and no step
+    # l in [2, c-1] with 1/l <= b_{j-1} drew low.
     weight = p * (1.0 - p) ** (n - c)
-
-    def prob_min_above(t: float) -> float:
-        # Running minimum before the stop: 1/l for the last low l in [2, c-1],
-        # or 1 when there were none (X_1 = 1).
-        total_p = (1.0 - p) ** (c - 2) if 1.0 > t else 0.0
-        for low in range(2, c):
-            if 1.0 / low > t:
-                total_p += p * (1.0 - p) ** (c - 1 - low)
-        return total_p
-
-    jump = weight * math.fsum(prob_min_above(bs[j - 2]) for j in range(c, n + 1))
-    total = (n - c + 1) * weight
-    return Decomposition.from_parts(jump, total - jump)
+    lows = 1.0 / np.arange(c - 1, 1, -1)  # 1/l for l = c-1..2, ascending
+    prev = bs[c - 2 : n - 1]
+    lows_at_or_below = np.searchsorted(lows, prev, side="right")
+    above = np.where(prev < 1.0, (1.0 - p) ** lows_at_or_below, 0.0)
+    return Decomposition.from_parts(weight * math.fsum(above), weight * math.fsum(1.0 - above))
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +285,13 @@ def solve(model: ObservationModel, keep_tables: bool = False) -> DpSolution:
     if model.n > _max_n():
         raise ResourceLimitError(f"n={model.n} above cap {_max_n()} (set STOPRULE_MAX_N)")
     if model.kind == BERNOULLI_PYRAMID:
-        return _pyramid_solve(model)
+        c = _pyramid_cutoff(model.n, model.p)
+        policy = ThresholdPolicy((-math.inf,) * (c - 1) + (math.inf,) * (model.n - c + 1))
+        return DpSolution(model, None, policy, _pyramid_policy_value(model, policy))
     b, jump, drift, v0, stop_tab, cont_tab = _lattice_pass(model, want_tables=keep_tables)
     total = jump + drift
     if abs(total - v0) > _CONSISTENCY_TOL:
-        raise RuntimeError(
+        raise PrecisionError(
             f"jump/drift sums ({total}) disagree with backward value ({v0})"
         )
     thresholds = tuple(float(x) for x in b[:-1]) + (math.inf,)
@@ -357,10 +318,10 @@ def policy_value(model: ObservationModel, policy: ThresholdPolicy) -> Decomposit
         raise InvalidPolicyError(f"policy length {policy.n} != n = {model.n}")
     if not policy.is_nondecreasing():
         raise InvalidPolicyError("thresholds must be nondecreasing")
-    if model.kind == BERNOULLI_PYRAMID:
-        return _pyramid_policy_value(model, policy)
     if model.n > _max_n():
         raise ResourceLimitError(f"n={model.n} above cap {_max_n()}")
+    if model.kind == BERNOULLI_PYRAMID:
+        return _pyramid_policy_value(model, policy)
     _, jump, drift, _, _, _ = _lattice_pass(model, policy=policy)
     return Decomposition.from_parts(jump, drift)
 
@@ -374,8 +335,6 @@ def _support_with_probs(model: ObservationModel, j: int):
         if j == 1:
             return [(1.0, 1.0)]
         return [(1.0 / j, model.p), (float(j), 1.0 - model.p)]
-    if not model.is_lattice:
-        raise UnsupportedModelError(f"{model.kind} cannot be enumerated")
     lo, hi = model.support(j)
     return [(float(v), 1.0 / (hi - lo + 1)) for v in range(lo, hi + 1)]
 

@@ -15,9 +15,7 @@ import numpy as np
 
 from . import dp, fullinfo
 from .models import (
-    BERNOULLI_PYRAMID,
     IID_UNIFORM01,
-    RECTANGULAR,
     TREND_POWER,
     TREND_SCALED,
     TREND_SHIFTED,
@@ -94,12 +92,12 @@ def _blocks(model: ObservationModel, seed: int, reps: int, cols: int):
 
 
 def optimal_policy(model: ObservationModel) -> ThresholdPolicy:
-    """Optimal thresholds from the matching exact solver."""
-    if model.kind in (TRIANGULAR, RECTANGULAR, BERNOULLI_PYRAMID):
-        return dp.solve(model).policy
+    """Optimal thresholds: the full-information roots for iid uniform-[0,1]
+    observations, dp.solve for every other kind (which raises
+    UnsupportedModelError for kinds it cannot solve)."""
     if model.kind == IID_UNIFORM01:
         return fullinfo.gm_optimal_thresholds(model.n).as_policy()
-    raise UnsupportedModelError(f"no optimal-policy solver for {model.kind}")
+    return dp.solve(model).policy
 
 
 def simulate(config: SimConfig) -> SimResult:

@@ -85,11 +85,6 @@ MODEL_KINDS = (
     TREND_POWER,
 )
 
-# Kinds whose running minimum lives on an integer lattice solved by dp.solve.
-LATTICE_KINDS = (TRIANGULAR, RECTANGULAR)
-# Kinds with iid observations (tie probability, sandwich bounds apply).
-IID_KINDS = (IID_UNIFORM01, RECTANGULAR)
-
 
 @dataclass(frozen=True)
 class ObservationModel:
@@ -175,14 +170,6 @@ class ObservationModel:
         return cls(TREND_POWER, n, theta=float(theta))
 
     # Structure ------------------------------------------------------------
-
-    @property
-    def is_iid(self) -> bool:
-        return self.kind in IID_KINDS
-
-    @property
-    def is_lattice(self) -> bool:
-        return self.kind in LATTICE_KINDS
 
     def support(self, j: int) -> tuple[int, int]:
         """Integer support bounds (lo, hi) of observation j, discrete kinds only."""

@@ -56,6 +56,10 @@ __all__ = [
 GEOMETRIES = ("rect", "tri")
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+# Box areas above which the drift functions integrate against the jump
+# functions: the small-area series needs more terms than it keeps from
+# z ~ 250, and the e^{u^2/2} integrand overflows from z ~ 709.
+_LARGE_AREA = 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +149,21 @@ def jump_success_rect(z: float) -> float:
     return -math.expm1(-z) / z
 
 
+def _drift_from_jump(jump, z: float) -> float:
+    """Drift success as e^{-z} int_0^z e^u jump(u) du = int_0^z e^{-y} jump(z - y) dy,
+    an integrand below 1 for every z; past y ~ 745, e^{-y} underflows to 0."""
+    val, _ = integrate.quad(lambda y: math.exp(-y) * jump(z - y), 0.0, min(z, 745.0),
+                            epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
 def drift_success_rect(z: float) -> float:
     """Success probability stopping at the earliest arrival inside a box of
     area z, rectangular geometry: e^{-z} int_0^z (e^s - 1)/s ds."""
     if z < 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
+    if z > _LARGE_AREA:
+        return _drift_from_jump(jump_success_rect, z)
     return math.exp(-z) * _int_expm1_over_s(z)
 
 
@@ -183,6 +197,8 @@ def drift_success_tri(z: float) -> float:
     e^{-z} * int_0^{sqrt(2z)} int_0^u e^{(u^2-v^2)/2} dv du."""
     if z < 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
+    if z > _LARGE_AREA:
+        return _drift_from_jump(jump_success_tri, z)
     return math.exp(-z) * _tri_drift_inner(z)
 
 
@@ -369,6 +385,8 @@ def ladder_residual(k: int, z: float) -> float:
 
 # Largest truncation the level series will build (8 bytes of roots per level).
 MAX_LEVELS = 5_000_000
+# Intensities at or above this overflow e^lam.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # Terms kept of the moment series below.  With w = k ln z <= ln 3, as at every
 # root and at every clamped level k >= 2, the dropped terms sum to below 1e-29.
@@ -441,6 +459,12 @@ def _check_levels(k_max: int) -> None:
         raise ResourceLimitError(f"k_max={k_max} exceeds the cap of {MAX_LEVELS} levels")
 
 
+def _check_lam(lam: float) -> None:
+    # Roots are clamped at e^lam, which must be a finite float.
+    if not 0 < lam < _LOG_FLOAT_MAX:
+        raise DomainError(f"lam must lie in (0, {_LOG_FLOAT_MAX:.2f}), got {lam}")
+
+
 def rect_roots(k_max: int, lam: float = 1.0) -> BoundaryLadder:
     """Ladder of boundary roots z_k and cutoffs t_k = 1 - ln(z_k)/lam for the
     integer-level model with intensity lam.  Level-1 stopping is always
@@ -448,8 +472,7 @@ def rect_roots(k_max: int, lam: float = 1.0) -> BoundaryLadder:
     above MAX_LEVELS raises ResourceLimitError."""
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    if lam <= 0:
-        raise DomainError(f"lam must be positive, got {lam}")
+    _check_lam(lam)
     _check_levels(k_max)
     roots = np.exp(_log_roots(k_max))
     np.minimum(roots, math.exp(lam), out=roots)
@@ -464,15 +487,17 @@ def rect_limit_tail_bound(lam: float, k_max: int) -> float:
 
     Per level k the drift term is at most (e^lam - 1) e^{-lam k} and the jump
     term at most beta e^beta e^{-lam k}/k < 2.3 e^{-lam k}/k, so a geometric
-    tail bound applies.
+    tail bound applies: r^k_max + 2.3 r^(k_max+1) / (k_max (1 - r)) with
+    r = e^{-lam}, written without e^lam so that it is finite for every lam.
     """
     r = math.exp(-lam)
-    geom = r ** (k_max + 1) / (1.0 - r)
-    return (math.expm1(lam) + 2.3 / max(k_max, 1)) * geom
+    return r ** k_max + 2.3 * r ** (k_max + 1) / (max(k_max, 1) * -math.expm1(-lam))
 
 
 def _auto_k_max(lam: float, tol: float) -> int:
-    k = max(8, int(math.ceil(math.log((math.expm1(lam) + 2.3) / (tol * (1.0 - math.exp(-lam)))) / lam)))
+    r = math.exp(-lam)
+    # log((e^lam + 1.3) / (1 - r)) = lam + log1p(2.3 r / (1 - r))
+    k = max(8, math.ceil((lam + math.log1p(2.3 * r / -math.expm1(-lam)) - math.log(tol)) / lam))
     while rect_limit_tail_bound(lam, k) > tol:
         k = int(k * 1.25) + 8
         if k > MAX_LEVELS:
@@ -531,8 +556,7 @@ def rect_limit(lam: float, k_max: int | None = None, tol: float = 1e-10) -> Deco
     below tol; an explicit k_max that cannot meet tol raises PrecisionError.
     A k_max, explicit or automatic, above MAX_LEVELS raises ResourceLimitError.
     """
-    if lam <= 0:
-        raise DomainError(f"lam must be positive, got {lam}")
+    _check_lam(lam)
     required = _auto_k_max(lam, tol)
     if k_max is None:
         k_max = required

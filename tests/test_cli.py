@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -38,6 +39,24 @@ class TestLimit:
         assert code == 1
         assert "error" in err
 
+    def test_large_lambda(self, capsys):
+        code, out, _ = run_cli(capsys, "limit", "--lambda", "700")
+        assert code == 0
+        obj = json.loads(out)
+        for key in ("value", "jump", "drift", "truncation_error"):
+            assert math.isfinite(obj[key])
+
+    @pytest.mark.parametrize("args", [
+        ("limit", "--lambda", "1000"),
+        ("limit", "--lambda", "nan"),
+        ("roots", "--lambda", "1000", "--kmax", "3"),
+    ], ids=["limit-1000", "limit-nan", "roots-1000"])
+    def test_lambda_where_exp_overflows_exits_1(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRoots:
     def test_csv_row_k2(self, capsys):
@@ -54,6 +73,29 @@ class TestRoots:
         code, out, _ = run_cli(capsys, "roots", "--kmax", "3")
         obj = json.loads(out)
         assert [r["k"] for r in obj["roots"]] == [1, 2, 3]
+
+    @pytest.mark.parametrize("kmax", [1, 20])
+    def test_streamed_json_bytes(self, capsys, kmax):
+        # The rows are written one by one; the bytes must be those of
+        # json.dumps on the whole payload.
+        code, out, _ = run_cli(capsys, "roots", "--lambda", "0.37", "--kmax", str(kmax))
+        assert code == 0
+        rows = json.loads(out)["roots"]
+        whole = json.dumps(cli._round12({"lambda": 0.37, "roots": rows})) + "\n"
+        assert out == whole
+
+    def test_output_does_not_grow_with_kmax(self, tmp_path):
+        # Building the ladder peaks near 6 MB; holding every row as a tuple and
+        # a dict before writing took 16 MB at 20,000 levels.
+        path = tmp_path / "roots.json"
+        tracemalloc.start()
+        try:
+            assert cli.main(["roots", "--kmax", "20000", "--output", str(path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads(path.read_text())["roots"]) == 20_000
+        assert peak < 10e6
 
 
 @pytest.mark.parametrize("args", [
@@ -162,6 +204,14 @@ class TestThresholdsAndFullinfo:
         obj = json.loads(out)
         assert abs(obj["thresholds"][0] - 0.5) < 1e-9
 
+    def test_thresholds_uniform01_match_fullinfo(self, capsys):
+        code, out, _ = run_cli(capsys, "thresholds", "--model", "uniform01", "--n", "20")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["model"] == {"kind": "iid_uniform01", "n": 20, "params": {}}
+        _, full, _ = run_cli(capsys, "fullinfo", "--n", "20")
+        assert obj["thresholds"] == json.loads(full)["thresholds"]
+
     def test_fullinfo_single(self, capsys):
         code, out, _ = run_cli(capsys, "fullinfo", "--n", "2")
         obj = json.loads(out)
@@ -191,6 +241,9 @@ class TestErrors:
         code, _, err = run_cli(capsys, "value", "--model", "pyramid", "--n", "5")
         assert code == 1
         assert "--p" in err
+        code, _, err = run_cli(capsys, "thresholds", "--model", "uniform01")
+        assert code == 1
+        assert "--n" in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
@@ -215,6 +268,13 @@ class TestErrors:
         path.write_text(text)
         code, out, err = run_cli(capsys, "value", "--model", "rectangular",
                                  "--n", "2", "--k", "2", "--policy", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_consistency_gate_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.dp, "_CONSISTENCY_TOL", -1.0)
+        code, out, err = run_cli(capsys, "value", "--model", "triangular", "--n", "5")
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoprule import dp
+from stoprule import dp, mc
 from stoprule.models import (
     DomainError,
     InvalidPolicyError,
     ObservationModel,
+    PrecisionError,
     ResourceLimitError,
     StateRangeError,
     ThresholdPolicy,
@@ -27,16 +28,20 @@ def enumerate_outcomes(model):
         yield prob, tuple(v for v, _ in combo)
 
 
+def stop_value(model, j, x):
+    return dp.solve(model, keep_tables=True).tables.stop_value(j, x)
+
+
 class TestStopValue:
     def test_triangular_last_step_always_succeeds(self):
         for n in (1, 2, 5, 9):
             m = ObservationModel.triangular(n)
             for x in range(n, n + 1):
-                assert dp.stop_value(m, n, x) == 1.0
+                assert stop_value(m, n, x) == 1.0
 
     def test_triangular_n2_edge(self):
         m = ObservationModel.triangular(2)
-        assert dp.stop_value(m, 1, 2) == 1.0  # X_2 = 2 surely
+        assert stop_value(m, 1, 2) == 1.0  # X_2 = 2 surely
 
     def test_triangular_enumeration(self):
         # s(j, x) = P(all later observations >= x)
@@ -47,21 +52,21 @@ class TestStopValue:
                 for prob, outcome in enumerate_outcomes(m):
                     if all(v >= x for v in outcome[j:]):
                         want += prob
-                assert dp.stop_value(m, j, x) == pytest.approx(want, abs=1e-12)
+                assert stop_value(m, j, x) == pytest.approx(want, abs=1e-12)
 
     def test_rectangular_direct(self):
         m = ObservationModel.rectangular(2, 2)
         # success iff X_2 >= 2, probability 1/2
-        assert dp.stop_value(m, 1, 2) == pytest.approx(0.5, abs=1e-15)
+        assert stop_value(m, 1, 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_state_validation(self):
         m = ObservationModel.triangular(4)
         with pytest.raises(StateRangeError):
-            dp.stop_value(m, 2, 1)  # below the diagonal
+            stop_value(m, 2, 1)  # below the diagonal
         with pytest.raises(StateRangeError):
-            dp.stop_value(m, 5, 5)
+            stop_value(m, 5, 5)
         with pytest.raises(UnsupportedModelError):
-            dp.stop_value(ObservationModel.iid_uniform01(3), 1, 1)
+            stop_value(ObservationModel.iid_uniform01(3), 1, 1)
 
 
 def cont_value(model, j, x):
@@ -168,6 +173,15 @@ class TestSolve:
         with pytest.raises(ResourceLimitError):
             dp.solve(ObservationModel.triangular(51))
         dp.solve(ObservationModel.triangular(50))
+        with pytest.raises(ResourceLimitError):
+            dp.policy_value(ObservationModel.bernoulli_pyramid(51, 0.5),
+                            ThresholdPolicy((math.inf,) * 51))
+
+    def test_consistency_gate_raises_precision_error(self, monkeypatch):
+        # No jump+drift total can be within a negative tolerance of v0.
+        monkeypatch.setattr(dp, "_CONSISTENCY_TOL", -1.0)
+        with pytest.raises(PrecisionError):
+            dp.solve(ObservationModel.triangular(5))
 
     def test_solution_json(self):
         sol = dp.solve(ObservationModel.rectangular(3, 3))
@@ -250,6 +264,7 @@ class TestPolicyValue:
             ObservationModel.triangular(35),
             ObservationModel.rectangular(30, 30),
             ObservationModel.bernoulli_pyramid(12, 0.21),
+            ObservationModel.bernoulli_pyramid(10_000, 1 / 5001),
         ):
             sol = dp.solve(m)
             pv = dp.policy_value(m, sol.policy)
@@ -352,6 +367,17 @@ class TestBruteForce:
     def test_rejects_continuous(self):
         with pytest.raises(UnsupportedModelError):
             dp.brute_force_oracle(ObservationModel.iid_uniform01(3))
+
+    @pytest.mark.parametrize("n, thresholds", [
+        (3, (1.0, 3.0, math.inf)),
+        (4, (-math.inf, 2.0, 4.0, math.inf)),
+    ])
+    def test_trend_shifted_agrees_with_simulation(self, n, thresholds):
+        m = ObservationModel.trend_shifted(n)
+        policy = ThresholdPolicy(thresholds)
+        exact = dp.brute_force_oracle(m, policy)
+        sim = mc.simulate(mc.SimConfig(model=m, policy=policy, replications=200_000, seed=11))
+        assert abs(sim.success_rate - exact) <= 4.0 * sim.std_error
 
     def test_unknown_record_semantics(self):
         with pytest.raises(DomainError):

@@ -199,6 +199,27 @@ class TestBoxFunctions:
         )
         assert one_d == pytest.approx(math.exp(-z) * raw, abs=1e-10)
 
+    @pytest.mark.parametrize("z", [300.0, 500.0, 1000.0])
+    def test_large_area_against_mpmath(self, z):
+        with mpmath.workdps(40):
+            zm, rz = mpmath.mpf(z), mpmath.sqrt(z)
+            drift_rect = mpmath.exp(-zm) * (mpmath.ei(zm) - mpmath.euler - mpmath.log(zm))
+            # int_0^sqrt(z) e^{t^2} erf(t) dt = z/sqrt(pi) 2F2(1, 1; 3/2, 2; z)
+            drift_tri = mpmath.exp(-zm) * zm * mpmath.hyp2f2(1, 1, 1.5, 2, zm)
+            jump_rect = -mpmath.expm1(-zm) / zm
+            jump_tri = mpmath.sqrt(mpmath.pi) * mpmath.erf(rz) / (2 * rz)
+            pass_rect = zm * mpmath.exp(zm) * mpmath.e1(zm)
+            pass_tri = mpmath.sqrt(mpmath.pi * zm) * mpmath.exp(zm) * mpmath.erfc(rz)
+            want = {
+                "rect": (drift_rect, drift_rect + (jump_rect - drift_rect) * pass_rect),
+                "tri": (drift_tri, drift_tri + (jump_tri - drift_tri) * pass_tri),
+            }
+        for geom, drift in (("rect", poisson.drift_success_rect),
+                            ("tri", poisson.drift_success_tri)):
+            d, v = (float(x) for x in want[geom])
+            assert drift(z) == pytest.approx(d, rel=1e-14, abs=0)
+            assert poisson.success_prob_boundary(geom, z) == pytest.approx(v, rel=1e-13, abs=0)
+
     def test_ordering_drift_below_jump_near_optimum(self):
         # drift < jump holds on the region containing the optimal area
         # (crossings sit near z = 1.50 rect / z = 1.90 tri, beyond which
@@ -459,8 +480,33 @@ class TestRectLimit:
         poisson.rect_limit(1.0, k_max=err.value.required_k_max, tol=1e-10)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            poisson.rect_limit(0.0)
+        for lam in (0.0, 1000.0, math.nan):
+            with pytest.raises(DomainError):
+                poisson.rect_limit(lam)
+            with pytest.raises(DomainError):
+                poisson.rect_roots(5, lam)
+        assert poisson.rect_limit(700.0).total == pytest.approx(1.0, abs=1e-15)
+        assert poisson.rect_limit_tail_bound(1000.0, 8) == 0.0
+
+    def test_auto_k_max_matches_expm1_form(self):
+        # The bound used to be written with e^lam, which overflows for large
+        # lam; the truncation it picks must not move where it was finite.
+        def old_k_max(lam, tol):
+            def bound(k):
+                r = math.exp(-lam)
+                return (math.expm1(lam) + 2.3 / max(k, 1)) * r ** (k + 1) / (1.0 - r)
+
+            k = max(8, int(math.ceil(math.log(
+                (math.expm1(lam) + 2.3) / (tol * (1.0 - math.exp(-lam)))) / lam)))
+            while bound(k) > tol:
+                k = int(k * 1.25) + 8
+            return k
+
+        # the cold-limit intensities of the benchmark and the default sweep grid
+        lams = [float(f"{0.0029 + i * 1e-6:.6f}") for i in range(101)]
+        lams += [0.01 + i * 0.01 for i in range(100)]
+        for lam in lams + [1.0, 0.37, 2.0, 50.0, 600.0]:
+            assert poisson._auto_k_max(lam, 1e-10) == old_k_max(lam, 1e-10)
 
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):
