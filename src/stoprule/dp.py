@@ -9,9 +9,16 @@ threshold overtakes the current minimum).
 
 The jump mass at step j is P(M_{j-1} > b_j) * sum_{x <= b_j} P(X_j = x) s(j,x)
 and the drift mass collects P(M_m = y) v(m, y) over the window b_m < y <=
-b_{m+1}.  Both sums are evaluated in log space (gammaln differences), so no
-intermediate product under/overflows even at n ~ 10^4, and their total is
-checked against the independent backward-induction value.
+b_{m+1}; their total is checked against the independent backward-induction
+value.  Stop columns and P(M_m >= y) are exp of a log-space closed form
+(gammaln differences for the triangular kind), so no intermediate product
+under/overflows even at n ~ 10^4.  The logs that do not depend on the step are
+computed once per lattice, and exp is called only up to the last entry whose
+argument is >= -746: below that exp is exactly +0.0, which is written
+directly.  The sweep reuses two stop and two continuation columns.  With
+nondecreasing thresholds the drift windows are disjoint, so the sweep only
+records each window's step and v(m, y); one P(M_m >= y) call and one fsum
+after the sweep give the drift mass.
 
 For arbitrary monotone policies the same sums apply with v replaced by the
 "stop at every future record below y" chain, which is what any monotone
@@ -91,28 +98,52 @@ class DpSolution:
 # Lattice geometry adapters
 # ---------------------------------------------------------------------------
 
+# exp of every double below this is exactly +0.0 (the smallest subnormal is
+# exp(-745.13...)), and numpy's exp is slow on underflowing arguments.
+_EXP_UNDERFLOW = -746.0
+
+
+def _exp_to_cut(arg: np.ndarray, mask: np.ndarray) -> int:
+    """exp(arg) in place, calling exp only up to the last entry >= -746 and
+    writing +0.0 after it; the argument need not fall monotonically.
+    Returns the length of the prefix that went through exp."""
+    m = mask[: len(arg)]
+    np.greater_equal(arg, _EXP_UNDERFLOW, out=m)
+    end = len(m) - int(m[::-1].argmax())
+    if end == len(m) and not m[-1]:
+        end = 0  # no entry reaches the cut
+    np.exp(arg[:end], out=arg[:end])
+    arg[end:] = 0.0
+    return end
+
+
 class _TriLattice:
     """X_j uniform on {j, ..., n}; reachable record states j <= x <= n."""
 
     def __init__(self, n: int):
         self.n = n
         self._lg = gammaln(np.arange(n + 3, dtype=float))
+        x = np.arange(n + 1)
+        self._x = x.astype(float)
+        self._log_room = np.log(n - x + 1.0)
+        self._lg_room = self._lg[n - x + 2]
+        self._mask = np.empty(n + 1, dtype=bool)
 
-    def stop_col(self, j: int) -> np.ndarray:
-        """s(j, x) = prod_{i=0}^{x-j-1} (n-x+1)/(n-j-i) for x in [j..n]."""
-        n, lg = self.n, self._lg
-        col = np.full(n + 1, np.nan)
-        x = np.arange(j, n + 1)
+    def stop_col(self, j: int, out: np.ndarray) -> None:
+        """s(j, x) = prod_{i=0}^{x-j-1} (n-x+1)/(n-j-i) for x in [j..n],
+        written to out[j:]."""
+        col = out[j:]
+        np.subtract(self._x[j:], j + 1, out=col)
+        np.multiply(col, self._log_room[j:], out=col)
+        np.add(col, self._lg_room[j:], out=col)
+        np.subtract(col, self._lg[self.n - j + 1], out=col)
+        col = col[: _exp_to_cut(col, self._mask)]
         # Clip float overshoot from the lgamma differences (values are
         # probabilities, mathematically <= 1).
-        col[j:] = np.minimum(
-            np.exp((x - j - 1) * np.log(n - x + 1.0) + lg[n - x + 2] - lg[n - j + 1]),
-            1.0,
-        )
-        return col
+        np.minimum(col, 1.0, out=col)
 
     def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
-        """P(M_j >= y) for an integer vector y (entries may reach n + 1),
+        """P(M_j >= y) for an integer array y (entries may reach n + 1),
         elementwise in j as well; the empty minimum M_0 is +inf."""
         n, lg = self.n, self._lg
         t = np.minimum(j, ys - 1)
@@ -129,16 +160,17 @@ class _RectLattice:
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
+        # log P(X >= x) for x in [1..K]
+        self._log_surv = np.log(k - np.arange(1, k + 1) + 1.0) - math.log(k)
+        self._mask = np.empty(k + 1, dtype=bool)
 
-    def stop_col(self, j: int) -> np.ndarray:
-        """s(j, x) = ((K-x+1)/K)^(n-j)."""
-        k = self.k
-        col = np.full(k + 1, np.nan)
-        x = np.arange(1, k + 1)
-        col[1:] = np.exp((self.n - j) * (np.log(k - x + 1.0) - math.log(k)))
-        return col
+    def stop_col(self, j: int, out: np.ndarray) -> None:
+        """s(j, x) = ((K-x+1)/K)^(n-j), written to out[1:]."""
+        col = out[1:]
+        np.multiply(self.n - j, self._log_surv, out=col)
+        _exp_to_cut(col, self._mask)
 
-    def prob_min_ge(self, j: int, ys: np.ndarray) -> np.ndarray:
+    def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
         frac = np.clip((self.k - ys + 1.0) / self.k, 0.0, 1.0)
         return frac ** j
 
@@ -174,7 +206,12 @@ def _lattice_pass(model: ObservationModel, policy: ThresholdPolicy | None = None
     # in one call after the sweep.
     jump_ssum = np.zeros(n + 1)
     sizes = np.ones(n + 1, dtype=np.int64)
-    drift_terms: list[float] = []
+    # Drift mass at y in the window (b_m, b_{m+1}] is P(M_m = y) v(m, y).
+    # Nondecreasing thresholds make the windows disjoint, so each y keeps its
+    # window's step m (0: no window) and v(m, y) until one call after the sweep.
+    drift_step = np.zeros(x_max + 1, dtype=np.int64)
+    drift_cont = np.zeros(x_max + 1)
+    covered = 0
     stop_tab = cont_tab = None
     if want_tables:
         cells = (n + 1) * (x_max + 1)
@@ -185,30 +222,47 @@ def _lattice_pass(model: ObservationModel, policy: ThresholdPolicy | None = None
         stop_tab = np.full((n + 1, x_max + 1), np.nan)
         cont_tab = np.full((n + 1, x_max + 1), np.nan)
 
-    s_next = cont_next = None
+    # Two stop and two continuation columns, swapped every step.  Entries
+    # below the support are never written, so cont stays 0 there; the
+    # recurrence fills cont[lo1:] and cont[lo:lo1] is zeroed.
+    s_col, s_next = np.full(x_max + 1, np.nan), np.full(x_max + 1, np.nan)
+    cont, cont_next = np.zeros(x_max + 1), np.zeros(x_max + 1)
+    w = np.empty(x_max + 1)
+    tail = np.empty(x_max + 1)
+    # (hi1 - x) / size = P(X_{j+1} > x) for x in the support; rebuilt only
+    # when the support moves (every step for triangular, once for rectangular)
+    p_above = np.empty(x_max + 1)
+    above_support = None
+    hit = np.empty(x_max + 1, dtype=bool)
+    xs = np.arange(x_max + 1, dtype=float)
     v0 = math.nan
     for j in range(n, 0, -1):
         lo, hi = model.support(j)
         sizes[j] = hi - lo + 1
-        s_col = lat.stop_col(j)
-        cont = np.zeros(x_max + 1)
+        lat.stop_col(j, s_col)
         if j < n:
             lo1, hi1 = model.support(j + 1)
             size = hi1 - lo1 + 1
+            cont[lo:lo1] = 0.0
+            acc, pt = w[lo1:], tail[lo1:]
             if optimal:
-                w = np.maximum(s_next[lo1:], cont_next[lo1:])
+                np.maximum(s_next[lo1:], cont_next[lo1:], out=acc)
+                np.cumsum(acc, out=acc)
             else:
-                w = s_next[lo1:]
-            xs = np.arange(lo1, x_max + 1)
-            # (hi1 - x) / size = P(X_{j+1} > x) for x in the support
-            cont[lo1:] = np.minimum(
-                np.cumsum(w) / size + ((hi1 - xs) / size) * cont_next[lo1:],
-                1.0,
-            )
+                np.cumsum(s_next[lo1:], out=acc)
+            np.divide(acc, size, out=acc)
+            if above_support != (lo1, hi1):
+                above_support = (lo1, hi1)
+                np.subtract(hi1, xs[lo1:], out=p_above[lo1:])
+                np.divide(p_above[lo1:], size, out=p_above[lo1:])
+            np.multiply(p_above[lo1:], cont_next[lo1:], out=pt)
+            np.add(acc, pt, out=cont[lo1:])
+            np.minimum(cont[lo1:], 1.0, out=cont[lo1:])
 
         if optimal:
-            hit = np.nonzero(s_col[lo:] >= cont[lo:])[0]
-            b[j] = lo + int(hit[-1])
+            # largest x with s >= v
+            np.greater_equal(s_col[lo:], cont[lo:], out=hit[lo:])
+            b[j] = x_max - int(hit[lo:][::-1].argmax())
 
         bj = int(b[j])
         if bj >= lo:
@@ -218,10 +272,9 @@ def _lattice_pass(model: ObservationModel, policy: ThresholdPolicy | None = None
             lo_w = max(bj + 1, 1)
             hi_w = min(int(b[j + 1]), x_max)
             if hi_w >= lo_w:
-                ys = np.arange(lo_w, hi_w + 2)
-                pge = lat.prob_min_ge(j, ys)
-                pmass = pge[:-1] - pge[1:]
-                drift_terms.append(float(np.dot(pmass, cont[lo_w : hi_w + 1])))
+                drift_step[lo_w : hi_w + 1] = j
+                drift_cont[lo_w : hi_w + 1] = cont[lo_w : hi_w + 1]
+                covered += hi_w - lo_w + 1
 
         if want_tables:
             stop_tab[j, lo:] = s_col[lo:]
@@ -229,11 +282,17 @@ def _lattice_pass(model: ObservationModel, policy: ThresholdPolicy | None = None
         if j == 1 and optimal:
             w1 = np.maximum(s_col[lo:], cont[lo:])
             v0 = float(np.sum(w1)) / sizes[1]
-        s_next, cont_next = s_col, cont
+        s_col, s_next = s_next, s_col
+        cont, cont_next = cont_next, cont
 
     pm = lat.prob_min_ge(np.arange(n), b[1 : n + 1] + 1)
     jump = math.fsum(pm * jump_ssum[1:] / sizes[1:])
-    drift = math.fsum(drift_terms)
+    ys = np.flatnonzero(drift_step)
+    if len(ys) != covered:
+        raise PrecisionError("drift windows overlap: the thresholds are not nondecreasing")
+    # P(M_m = y) = P(M_m >= y) - P(M_m >= y + 1)
+    pge = lat.prob_min_ge(drift_step[ys, None], ys[:, None] + np.array([0, 1]))
+    drift = math.fsum((pge[:, 0] - pge[:, 1]) * drift_cont[ys])
     return b[1 : n + 1], jump, drift, v0, stop_tab, cont_tab
 
 

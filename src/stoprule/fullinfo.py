@@ -166,5 +166,7 @@ def tie_break_transform(values, uniforms, model: ObservationModel) -> np.ndarray
         k = model.k
         f_hi = np.clip(np.floor(x), 0.0, k) / k
         f_lo = np.clip(np.ceil(x) - 1.0, 0.0, k) / k
-        return f_hi - (f_hi - f_lo) * u
+        # For U near 1, F(X) - p U can round down onto F(X-), the top of the
+        # next lower atom's interval; keep Y strictly inside (F(X-), F(X)].
+        return np.maximum(f_hi - (f_hi - f_lo) * u, np.nextafter(f_lo, f_hi))
     raise UnsupportedModelError(f"tie-break transform needs an iid model, got {model.kind}")

@@ -1,9 +1,13 @@
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
 from stoprule import dp, mc
 from stoprule.models import (
@@ -183,6 +187,28 @@ class TestSolve:
         with pytest.raises(PrecisionError):
             dp.solve(ObservationModel.triangular(5))
 
+    def test_overlapping_drift_windows_raise_precision_error(self, monkeypatch):
+        # A stop column of ones at step 3 puts b_3 at the top of the support
+        # while b_2 and b_4 stay low, so the drift window (b_2, b_3] overlaps
+        # the windows of later steps.
+        lattice_for = dp._lattice_for
+
+        def patched(model):
+            lat = lattice_for(model)
+            stop_col = lat.stop_col
+
+            def ones_at_step_3(j, out):
+                stop_col(j, out)
+                if j == 3:
+                    out[j:] = 1.0
+
+            lat.stop_col = ones_at_step_3
+            return lat
+
+        monkeypatch.setattr(dp, "_lattice_for", patched)
+        with pytest.raises(PrecisionError, match="overlap"):
+            dp.solve(ObservationModel.triangular(30))
+
     def test_solution_json(self):
         sol = dp.solve(ObservationModel.rectangular(3, 3))
         obj = sol.to_json()
@@ -349,6 +375,21 @@ class TestPolicyValue:
             dp.brute_force_oracle(m, policy), abs=1e-12
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_optimal_policy_value_is_exact(self, data):
+        kind = data.draw(st.sampled_from(["triangular", "rectangular", "bernoulli_pyramid"]))
+        n = data.draw(st.integers(1, 59), label="n")
+        if kind == "triangular":
+            m = ObservationModel.triangular(n)
+        elif kind == "rectangular":
+            m = ObservationModel.rectangular(n, data.draw(st.integers(1, 29), label="k"))
+        else:
+            m = ObservationModel.bernoulli_pyramid(n, data.draw(st.floats(0.01, 0.99), label="p"))
+        sol = dp.solve(m)
+        assert sol.policy.is_nondecreasing()
+        assert dp.policy_value(m, sol.policy).total == sol.decomposition.total
+
 
 class TestBruteForce:
     def test_enumeration_cap(self):
@@ -382,3 +423,137 @@ class TestBruteForce:
     def test_unknown_record_semantics(self):
         with pytest.raises(DomainError):
             dp.brute_force_oracle(ObservationModel.triangular(3), record_semantics="loose")
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs of the lattice pass
+# ---------------------------------------------------------------------------
+
+PIN_FILE = Path(__file__).with_name("dp_pins.json")
+PIN_SOLVES = {
+    "triangular/1": ObservationModel.triangular(1),
+    "triangular/2": ObservationModel.triangular(2),
+    "triangular/3": ObservationModel.triangular(3),
+    "triangular/50": ObservationModel.triangular(50),
+    "triangular/777": ObservationModel.triangular(777),
+    "rectangular/1/1": ObservationModel.rectangular(1, 1),
+    "rectangular/4/1": ObservationModel.rectangular(4, 1),
+    "rectangular/6/4": ObservationModel.rectangular(6, 4),
+    "rectangular/50/50": ObservationModel.rectangular(50, 50),
+    "rectangular/300/40": ObservationModel.rectangular(300, 40),
+    "rectangular/40/300": ObservationModel.rectangular(40, 300),
+}
+PIN_POLICIES = ("triangular/777", "rectangular/300/40")
+
+
+def perturbed_policy(thresholds):
+    """A nondecreasing integer policy near an optimal one: the finite
+    thresholds move by -3..3 in a fixed pattern, clamped at 0."""
+    out, top = [], 0.0
+    for j, t in enumerate(thresholds[:-1]):
+        top = max(top, t + (j * 5) % 7 - 3, 0.0)
+        out.append(top)
+    return ThresholdPolicy(tuple(out) + (math.inf,))
+
+
+def pin_record(model):
+    """What tests/dp_pins.json holds for one model: the optimal solve with
+    tables and, for PIN_POLICIES, the value of the perturbed policy.  The
+    file was written by this function before the lattice pass reused its
+    buffers, so it pins the outputs of the closed-form pass."""
+    sol = dp.solve(model, keep_tables=True)
+    stop, cont = sol.tables.as_arrays()
+    d = sol.decomposition
+    return {
+        "thresholds": " ".join(repr(t) for t in sol.policy.thresholds),
+        "stop_sha256": hashlib.sha256(stop.tobytes()).hexdigest(),
+        "cont_sha256": hashlib.sha256(cont.tobytes()).hexdigest(),
+        "jump": d.jump.hex(),
+        "drift": d.drift,
+        "total": d.total,
+    }
+
+
+def policy_pin_record(model):
+    d = dp.policy_value(model, perturbed_policy(dp.solve(model).policy.thresholds))
+    return {"jump": d.jump.hex(), "drift": d.drift, "total": d.total}
+
+
+class TestPinnedPass:
+    """Thresholds, both tables and the jump sum are bit-identical to the
+    recorded pass; drift and total may move only in the last bit."""
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        return json.loads(PIN_FILE.read_text())
+
+    @pytest.mark.parametrize("name", sorted(PIN_SOLVES))
+    def test_solve(self, pins, name):
+        got, want = pin_record(PIN_SOLVES[name]), pins["solve"][name]
+        for key in ("thresholds", "stop_sha256", "cont_sha256", "jump"):
+            assert got[key] == want[key], key
+        for key in ("drift", "total"):
+            assert abs(got[key] - want[key]) <= 1e-15, key
+
+    @pytest.mark.parametrize("name", PIN_POLICIES)
+    def test_perturbed_policy(self, pins, name):
+        got, want = policy_pin_record(PIN_SOLVES[name]), pins["policy"][name]
+        assert got["jump"] == want["jump"]
+        for key in ("drift", "total"):
+            assert abs(got[key] - want[key]) <= 1e-15, key
+
+
+# ---------------------------------------------------------------------------
+# Stop columns against their closed forms
+# ---------------------------------------------------------------------------
+
+def reference_stop_cols(model):
+    """s(j, .) for j = 1..n from the closed forms, evaluated whole as
+    exp(log s) with one fresh array per column, together with the log
+    argument: triangular s(j, x) = prod_{i=0}^{x-j-1} (n-x+1)/(n-j-i) on
+    [j..n] through lgamma differences, rectangular ((K-x+1)/K)^(n-j) on [1..K]."""
+    n = model.n
+    if model.kind == "triangular":
+        lg = gammaln(np.arange(n + 3, dtype=float))
+        for j in range(1, n + 1):
+            col = np.full(n + 1, np.nan)
+            x = np.arange(j, n + 1)
+            arg = (x - j - 1) * np.log(n - x + 1.0) + lg[n - x + 2] - lg[n - j + 1]
+            col[j:] = np.minimum(np.exp(arg), 1.0)
+            yield j, col, arg
+    else:
+        k = model.k
+        for j in range(1, n + 1):
+            col = np.full(k + 1, np.nan)
+            x = np.arange(1, k + 1)
+            arg = (n - j) * (np.log(k - x + 1.0) - math.log(k))
+            col[1:] = np.exp(arg)
+            yield j, col, arg
+
+
+@pytest.mark.parametrize("model", [
+    ObservationModel.triangular(1),
+    ObservationModel.triangular(2),
+    ObservationModel.triangular(50),
+    ObservationModel.triangular(1500),
+    ObservationModel.rectangular(1, 1),
+    ObservationModel.rectangular(30, 1),
+    ObservationModel.rectangular(200, 300),
+], ids=str)
+def test_stop_col_matches_closed_form_bit_for_bit(model):
+    lat = dp._lattice_for(model)
+    x_max = model.support(model.n)[1]
+    out = np.full(x_max + 1, np.nan)
+    cut_seen = False
+    for j, want, arg in reference_stop_cols(model):
+        lo = model.support(j)[0]
+        lat.stop_col(j, out)
+        assert np.array_equal(out[lo:].view(np.int64), want[lo:].view(np.int64)), j
+        # past the last argument >= -746, every entry is +0.0
+        keep = np.flatnonzero(arg >= -746.0)
+        tail = out[lo + (keep[-1] + 1 if len(keep) else 0):]
+        assert not np.any(np.isnan(tail))
+        assert np.all(tail == 0.0) and not np.any(np.signbit(tail))
+        cut_seen = cut_seen or len(tail) > 0
+    if model.n == 1500:
+        assert cut_seen

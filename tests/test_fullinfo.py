@@ -176,6 +176,15 @@ class TestTieBreakTransform:
         assert i in (1, 2)
         assert x[i] == x.min()
 
+    def test_argmin_preserved_uniform_near_one(self):
+        # 0.75 - 0.25 * (1 - 2**-52) rounds to 0.5, the top of the x = 2 interval
+        m = ObservationModel.rectangular(3, 4)
+        x = np.array([3.0, 3.0, 2.0])
+        u = np.array([0.0, 0.9999999999999998, 0.0])
+        y = fullinfo.tie_break_transform(x, u, m)
+        assert y[1] > 0.5
+        assert int(np.argmin(y)) == 2
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_argmin_preserved(self, data):
