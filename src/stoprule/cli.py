@@ -13,9 +13,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import dp, fullinfo, mc, poisson
+from . import dp, fullinfo, mc, models, poisson
 from .models import ObservationModel, StopRuleError, ThresholdPolicy
 
 __all__ = ["main"]
@@ -31,17 +29,11 @@ def _fmt(x) -> str:
 
 def _round12(obj):
     if isinstance(obj, float):
-        if math.isinf(x := obj):
-            return "inf" if x > 0 else "-inf"
-        return float(f"{obj:.12g}")
+        return _fmt(obj) if math.isinf(obj) else float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _round12(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -69,32 +61,30 @@ def _write(args, chunks):
         sys.stdout.writelines(chunks)
 
 
+# --model names and the kinds they build; each kind reads its parameters
+# (models.MODEL_PARAMS) from the flags of the same name.
+_MODEL_FLAGS = {
+    "triangular": models.TRIANGULAR,
+    "rectangular": models.RECTANGULAR,
+    "pyramid": models.BERNOULLI_PYRAMID,
+    "uniform01": models.IID_UNIFORM01,
+    "trend-shifted": models.TREND_SHIFTED,
+    "trend-scaled": models.TREND_SCALED,
+    "trend-power": models.TREND_POWER,
+}
+
+
 def _model_from_args(args) -> ObservationModel:
-    kind = args.model
-    n = args.n
-    if n is None:
+    if args.n is None:
         raise StopRuleError("--n is required")
-    if kind == "triangular":
-        return ObservationModel.triangular(n)
-    if kind == "rectangular":
-        return ObservationModel.rectangular(n, args.k if args.k is not None else n)
-    if kind == "pyramid":
-        if args.p is None:
-            raise StopRuleError("--p is required for the pyramid model")
-        return ObservationModel.bernoulli_pyramid(n, args.p)
-    if kind == "uniform01":
-        return ObservationModel.iid_uniform01(n)
-    if kind == "trend-shifted":
-        return ObservationModel.trend_shifted(n)
-    if kind == "trend-scaled":
-        if args.rho is None:
-            raise StopRuleError("--rho is required for the trend-scaled model")
-        return ObservationModel.trend_scaled(n, args.rho)
-    if kind == "trend-power":
-        if args.theta is None:
-            raise StopRuleError("--theta is required for the trend-power model")
-        return ObservationModel.trend_power(n, args.theta)
-    raise StopRuleError(f"unknown model {kind!r}")
+    kind = _MODEL_FLAGS[args.model]
+    params = {name: getattr(args, name) for name in models.MODEL_PARAMS[kind]}
+    if "k" in params and params["k"] is None:
+        params["k"] = args.n  # the rectangular support defaults to 1..n
+    for name, value in params.items():
+        if value is None:
+            raise StopRuleError(f"--{name} is required for the {args.model} model")
+    return ObservationModel(kind, args.n, **params)
 
 
 def _load_policy(path: str) -> ThresholdPolicy:
@@ -111,7 +101,7 @@ def _parse_grid(text: str):
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise StopRuleError(f"grid must be lo:hi:step, got {text!r}") from exc
-    if step <= 0 or hi < lo:
+    if not (step > 0 and lo <= hi and all(map(math.isfinite, (lo, hi, step, (hi - lo) / step)))):
         raise StopRuleError(f"bad grid {text!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + i * step for i in range(count)]
@@ -124,8 +114,7 @@ def _parse_grid(text: str):
 def _cmd_thresholds(args) -> int:
     model = _model_from_args(args)
     policy = mc.optimal_policy(model)
-    payload = {"model": model.to_json()}
-    payload.update(policy.to_json())
+    payload = {"model": model.to_json(), **policy.to_json()}
     rows = [(j + 1, b) for j, b in enumerate(policy.thresholds)]
     _emit(args, payload, rows, ("j", "b"))
     return 0
@@ -135,8 +124,7 @@ def _cmd_value(args) -> int:
     model = _model_from_args(args)
     if args.policy and args.policy != "optimal":
         decomposition = dp.policy_value(model, _load_policy(args.policy))
-        payload = {"model": model.to_json()}
-        payload.update(decomposition.to_json())
+        payload = {"model": model.to_json(), **decomposition.to_json()}
         _emit(args, payload)
         return 0
     sol = dp.solve(model, keep_tables=bool(args.tables))
@@ -160,11 +148,11 @@ def _cmd_fullinfo(args) -> int:
     n = args.n
     if n is None:
         raise StopRuleError("--n is required")
-    th = fullinfo.gm_optimal_thresholds(n)
-    d = fullinfo.gm_success(n, th.b)
+    policy = fullinfo.gm_optimal_thresholds(n)
+    d = fullinfo.gm_success(n, policy.thresholds)
     payload = {
         "n": n,
-        "thresholds": [float(b) for b in th.b],
+        "thresholds": list(policy.thresholds),
         "v_bar": fullinfo.sakaguchi_value(n),
         "jump": d.jump,
         "drift": d.drift,
@@ -179,25 +167,23 @@ def _cmd_limit(args) -> int:
         raise StopRuleError("pick exactly one of --geometry, --lambda, --theta")
     if args.geometry is not None:
         report = poisson.beta_star(args.geometry)
+        jump, drift, _ = poisson.GEOMETRIES[args.geometry]
         payload = {
             "geometry": args.geometry,
             "beta_star": report.root,
             "value": poisson.success_prob_boundary(args.geometry, report.root),
-            "jump": (poisson.jump_success_rect if args.geometry == "rect"
-                     else poisson.jump_success_tri)(report.root),
-            "drift": (poisson.drift_success_rect if args.geometry == "rect"
-                      else poisson.drift_success_tri)(report.root),
+            "jump": jump(report.root),
+            "drift": drift(report.root),
             "residual": report.residual,
         }
     elif args.lam is not None:
         d = poisson.rect_limit(args.lam, k_max=args.kmax)
-        k_used = args.kmax if args.kmax is not None else poisson._auto_k_max(args.lam, 1e-10)
         payload = {
             "lambda": args.lam,
             "value": d.total,
             "jump": d.jump,
             "drift": d.drift,
-            "truncation_error": poisson.rect_limit_tail_bound(args.lam, k_used),
+            "truncation_error": poisson.rect_limit_tail_bound(args.lam, args.kmax),
         }
     else:
         report = poisson.theta_beta_star(args.theta)
@@ -244,8 +230,7 @@ def _cmd_simulate(args) -> int:
         record_semantics="strict" if args.strict_records else "weak",
     )
     result = mc.simulate(config)
-    payload = {"model": model.to_json(), "seed": args.seed}
-    payload.update(result.to_json())
+    payload = {"model": model.to_json(), "seed": args.seed, **result.to_json()}
     _emit(args, payload)
     return 0
 
@@ -255,7 +240,7 @@ def _cmd_sweep(args) -> int:
         grid = _parse_grid(args.grid or "0.01:1:0.01")
         rows = [(lam, poisson.rect_limit(lam).total) for lam in grid]
         header = ("lambda", "value")
-    elif args.target in ("triangular", "rectangular"):
+    else:
         default = "100:9000:100" if args.target == "triangular" else "100:2000:100"
         grid = [int(round(v)) for v in _parse_grid(args.grid or default)]
         rows = []
@@ -264,8 +249,6 @@ def _cmd_sweep(args) -> int:
                      else ObservationModel.rectangular(n, n))
             rows.append((n, dp.solve(model).decomposition.total))
         header = ("n", "v")
-    else:
-        raise StopRuleError(f"unknown sweep target {args.target!r}")
     payload = {"target": args.target, "rows": [list(r) for r in rows]}
     _emit(args, payload, rows, header)
     return 0
@@ -321,9 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--model", required=True,
-                       choices=["triangular", "rectangular", "pyramid", "uniform01",
-                                "trend-shifted", "trend-scaled", "trend-power"])
+        p.add_argument("--model", required=True, choices=_MODEL_FLAGS)
         p.add_argument("--n", type=int)
         p.add_argument("--k", type=int)
         p.add_argument("--p", type=float)
@@ -353,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fullinfo)
 
     p = sub.add_parser("limit", help="Poisson-limit constants")
-    p.add_argument("--geometry", choices=["rect", "tri"])
+    p.add_argument("--geometry", choices=poisson.GEOMETRIES)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--kmax", type=int)
@@ -392,10 +373,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StopRuleError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (StopRuleError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ from scipy.special import gammaln
 
 from .models import (
     BERNOULLI_PYRAMID,
+    DEFAULT_MAX_N,
     RECTANGULAR,
     TRIANGULAR,
     Decomposition,
@@ -45,10 +45,10 @@ from .models import (
     ObservationModel,
     PrecisionError,
     ResourceLimitError,
-    StopRuleError,
     ThresholdPolicy,
     UnsupportedModelError,
     ValueTables,
+    check_step_cap,
 )
 
 __all__ = [
@@ -60,21 +60,10 @@ __all__ = [
     "ENUMERATION_CAP",
 ]
 
-DEFAULT_MAX_N = 10_000
 ENUMERATION_CAP = 1_000_000
 TABLE_CELL_CAP = 80_000_000
 # Backward value and jump+drift sums must agree to this tolerance.
 _CONSISTENCY_TOL = 1e-9
-
-
-def _max_n() -> int:
-    env = os.environ.get("STOPRULE_MAX_N")
-    if not env:
-        return DEFAULT_MAX_N
-    try:
-        return int(env)
-    except ValueError:
-        raise StopRuleError(f"STOPRULE_MAX_N must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -341,8 +330,7 @@ def solve(model: ObservationModel, keep_tables: bool = False) -> DpSolution:
     Bernoulli pyramid has no lattice tables.  The step cap defaults to 10^4
     and can be overridden with STOPRULE_MAX_N.
     """
-    if model.n > _max_n():
-        raise ResourceLimitError(f"n={model.n} above cap {_max_n()} (set STOPRULE_MAX_N)")
+    check_step_cap(model.n)
     if model.kind == BERNOULLI_PYRAMID:
         c = _pyramid_cutoff(model.n, model.p)
         policy = ThresholdPolicy((-math.inf,) * (c - 1) + (math.inf,) * (model.n - c + 1))
@@ -377,8 +365,7 @@ def policy_value(model: ObservationModel, policy: ThresholdPolicy) -> Decomposit
         raise InvalidPolicyError(f"policy length {policy.n} != n = {model.n}")
     if not policy.is_nondecreasing():
         raise InvalidPolicyError("thresholds must be nondecreasing")
-    if model.n > _max_n():
-        raise ResourceLimitError(f"n={model.n} above cap {_max_n()}")
+    check_step_cap(model.n)
     if model.kind == BERNOULLI_PYRAMID:
         return _pyramid_policy_value(model, policy)
     _, jump, drift, _, _, _ = _lattice_pass(model, policy=policy)

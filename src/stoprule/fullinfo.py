@@ -12,7 +12,6 @@ transform that maps an iid sample with atoms to an iid uniform one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -26,10 +25,10 @@ from .models import (
     ObservationModel,
     ThresholdPolicy,
     UnsupportedModelError,
+    check_step_cap,
 )
 
 __all__ = [
-    "GmThresholds",
     "gm_optimal_thresholds",
     "gm_success",
     "sakaguchi_value",
@@ -64,26 +63,16 @@ def _threshold_roots(m_max: int) -> np.ndarray:
     return np.asarray(_ROOTS[: m_max + 1])
 
 
-@dataclass(frozen=True)
-class GmThresholds:
-    """Optimal thresholds for n iid uniform-[0,1] observations; b[-1] = 1."""
-
-    n: int
-    b: np.ndarray
-
-    def as_policy(self) -> ThresholdPolicy:
-        return ThresholdPolicy(tuple(float(v) for v in self.b))
-
-
-def gm_optimal_thresholds(n: int) -> GmThresholds:
+def gm_optimal_thresholds(n: int) -> ThresholdPolicy:
     """Thresholds b_1 <= ... <= b_n = 1 maximizing the success probability."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    roots = _threshold_roots(n - 1) if n > 1 else None
+    check_step_cap(n)
     b = np.ones(n)
     if n > 1:
-        b[: n - 1] = roots[1:n][::-1]  # b_j solves the equation with m = n - j
-    return GmThresholds(n=n, b=b)
+        # b_j solves the equation with m = n - j
+        b[: n - 1] = _threshold_roots(n - 1)[1:n][::-1]
+    return ThresholdPolicy(b)
 
 
 def _check_gm_thresholds(n: int, b: np.ndarray):
@@ -108,6 +97,7 @@ def gm_success(n: int, b) -> Decomposition:
     """
     b = np.asarray(b, dtype=float)
     _check_gm_thresholds(n, b)
+    check_step_cap(n)
     q = 1.0 - b
     with np.errstate(divide="ignore"):
         lnq = np.log(q)  # -inf where b == 1; exp(j * -inf) = 0 below
@@ -124,11 +114,9 @@ def gm_success(n: int, b) -> Decomposition:
 def sakaguchi_value(n: int) -> float:
     """Optimal success probability for n iid uniform-[0,1] observations:
     (1/n) (1 + sum_{j<n} sum_{k=j}^{n-1} (1-b_j)^k / k)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     if n == 1:
         return 1.0
-    b = gm_optimal_thresholds(n).b
+    b = np.asarray(gm_optimal_thresholds(n).thresholds)
     q = 1.0 - b[: n - 1]
     lnq = np.log(q)
     ks = np.arange(1, n, dtype=float)

@@ -9,7 +9,7 @@ execution order or worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _BLOCK_TARGET = 4_000_000  # floats per sampling block
+_X_HI = 8.0  # end of the scaling-check comparison range, in units of the scale
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,7 @@ class SimResult:
     replications: int
 
     def to_json(self) -> dict:
-        return {
-            "success_rate": self.success_rate,
-            "tie_rate": self.tie_rate,
-            "mean_stop_fraction": self.mean_stop_fraction,
-            "std_error": self.std_error,
-            "mean_stop_std_error": self.mean_stop_std_error,
-            "replications": self.replications,
-        }
+        return asdict(self)
 
 
 def _blocks(model: ObservationModel, seed: int, reps: int, cols: int):
@@ -96,7 +90,7 @@ def optimal_policy(model: ObservationModel) -> ThresholdPolicy:
     observations, dp.solve for every other kind (which raises
     UnsupportedModelError for kinds it cannot solve)."""
     if model.kind == IID_UNIFORM01:
-        return fullinfo.gm_optimal_thresholds(model.n).as_policy()
+        return fullinfo.gm_optimal_thresholds(model.n)
     return dp.solve(model).policy
 
 
@@ -196,13 +190,13 @@ def _scaling_spec(model: ObservationModel):
 
 
 def scaling_check(model: ObservationModel, replications: int = 100_000,
-                  seed: int = 0, x_hi: float = 8.0) -> ScalingReport:
+                  seed: int = 0) -> ScalingReport:
     """Compare the empirical law of the scaled sample minimum with its limit
     (Rayleigh or Weibull) and with the exact finite-n distribution.
 
-    Only steps j <= x_hi * scale can produce minima below the comparison
+    Only steps j <= _X_HI * scale can produce minima below the comparison
     range, so sampling is truncated there; the neglected mass is bounded by
-    the limit tail at x_hi (e^{-32} at the default).
+    the limit tail at _X_HI (e^{-32} for the Rayleigh law).
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -211,8 +205,8 @@ def scaling_check(model: ObservationModel, replications: int = 100_000,
     if n < 10:
         return ScalingReport(model, 0, scale, math.nan, math.nan, True,
                              f"n={n} too small for an asymptotic check")
-    j_cut = min(n, int(math.ceil(x_hi * scale)) + 1)
-    cap = x_hi * scale
+    j_cut = min(n, int(math.ceil(_X_HI * scale)) + 1)
+    cap = _X_HI * scale
 
     samples = np.concatenate([x.min(axis=1) for x in _blocks(model, seed, replications, j_cut)])
 

@@ -10,6 +10,7 @@ split a success probability into jump and drift first-passage mass.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -66,7 +67,7 @@ class DomainError(StopRuleError, ValueError):
     """Scalar argument outside the mathematical domain of an operation."""
 
 
-# Model kind tags.
+# Model kind tags and the parameters each kind takes.
 IID_UNIFORM01 = "iid_uniform01"
 TRIANGULAR = "triangular"
 RECTANGULAR = "rectangular"
@@ -75,22 +76,37 @@ TREND_SHIFTED = "trend_shifted"
 TREND_SCALED = "trend_scaled"
 TREND_POWER = "trend_power"
 
-MODEL_KINDS = (
-    IID_UNIFORM01,
-    TRIANGULAR,
-    RECTANGULAR,
-    BERNOULLI_PYRAMID,
-    TREND_SHIFTED,
-    TREND_SCALED,
-    TREND_POWER,
-)
+MODEL_PARAMS = {
+    IID_UNIFORM01: (),
+    TRIANGULAR: (),
+    RECTANGULAR: ("k",),
+    BERNOULLI_PYRAMID: ("p",),
+    TREND_SHIFTED: (),
+    TREND_SCALED: ("rho",),
+    TREND_POWER: ("theta",),
+}
+
+# Step cap of the exact and full-information solvers; the environment
+# variable STOPRULE_MAX_N overrides it.
+DEFAULT_MAX_N = 10_000
+
+
+def check_step_cap(n: int) -> None:
+    """Raise ResourceLimitError when n is above the step cap."""
+    env = os.environ.get("STOPRULE_MAX_N")
+    try:
+        cap = int(env) if env else DEFAULT_MAX_N
+    except ValueError:
+        raise StopRuleError(f"STOPRULE_MAX_N must be an integer, got {env!r}") from None
+    if n > cap:
+        raise ResourceLimitError(f"n={n} above cap {cap} (set STOPRULE_MAX_N)")
 
 
 @dataclass(frozen=True)
 class ObservationModel:
     """Tagged description of n independent observations.
 
-    kind        one of MODEL_KINDS
+    kind        a key of MODEL_PARAMS
     n           number of observations
     k           support size for the rectangular model (uniform on 1..k)
     p           low-value probability for the Bernoulli pyramid
@@ -105,21 +121,13 @@ class ObservationModel:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in MODEL_PARAMS:
             raise UnsupportedModelError(f"unknown model kind {self.kind!r}")
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        extras = {"k": self.k, "p": self.p, "rho": self.rho, "theta": self.theta}
-        wanted = {
-            IID_UNIFORM01: (),
-            TRIANGULAR: (),
-            RECTANGULAR: ("k",),
-            BERNOULLI_PYRAMID: ("p",),
-            TREND_SHIFTED: (),
-            TREND_SCALED: ("rho",),
-            TREND_POWER: ("theta",),
-        }[self.kind]
-        for name, value in extras.items():
+        wanted = MODEL_PARAMS[self.kind]
+        for name in ("k", "p", "rho", "theta"):
+            value = getattr(self, name)
             if name in wanted and value is None:
                 raise DomainError(f"{self.kind} model requires parameter {name}")
             if name not in wanted and value is not None:
@@ -230,11 +238,7 @@ class ObservationModel:
     # Serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        params = {}
-        for name in ("k", "p", "rho", "theta"):
-            value = getattr(self, name)
-            if value is not None:
-                params[name] = value
+        params = {name: getattr(self, name) for name in MODEL_PARAMS[self.kind]}
         return {"kind": self.kind, "n": self.n, "params": params}
 
     @classmethod

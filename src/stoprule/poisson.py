@@ -53,8 +53,6 @@ __all__ = [
     "rect_general_boundary",
 ]
 
-GEOMETRIES = ("rect", "tri")
-
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 # Box areas above which the drift functions integrate against the jump
 # functions: the small-area series needs more terms than it keeps from
@@ -202,33 +200,40 @@ def drift_success_tri(z: float) -> float:
     return math.exp(-z) * _tri_drift_inner(z)
 
 
+# Box functions per geometry: jump(z), drift(z) and e^z drift(z) below
+# _LARGE_AREA, the balance that equals 1 at the optimal box area.
+GEOMETRIES = {
+    "rect": (jump_success_rect, drift_success_rect, _int_expm1_over_s),
+    "tri": (jump_success_tri, drift_success_tri, _tri_drift_inner),
+}
+
+
+def _box(geometry: str):
+    """The GEOMETRIES entry of a geometry name; DomainError for any other name."""
+    if geometry not in GEOMETRIES:
+        raise DomainError(f"geometry must be one of {tuple(GEOMETRIES)}, got {geometry!r}")
+    return GEOMETRIES[geometry]
+
+
 # ---------------------------------------------------------------------------
 # Optimal boundary parameter and values
 # ---------------------------------------------------------------------------
 
-def _balance_residual(geometry: str, z: float) -> float:
-    """drift(z)/e^{-z} - 1; the optimal box area is its root."""
-    if geometry == "rect":
-        return _int_expm1_over_s(z) - 1.0
-    return _tri_drift_inner(z) - 1.0
+def _balance_root(balance) -> RootReport:
+    """Root in (0, 3) of balance(z) = 1, where balance(z) = e^z drift(z):
+    the optimal box area, at which drift(z) = e^{-z}."""
+    lo, hi = 1e-9, 3.0
+    root, res = optimize.brentq(
+        lambda z: balance(z) - 1.0,
+        lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps,
+        maxiter=200, full_output=True,
+    )
+    return RootReport(float(root), float(balance(root) - 1.0), (lo, hi), res.iterations)
 
 
 def beta_star(geometry: str) -> RootReport:
     """Optimal box-area parameter: the root of drift(z) = e^{-z} in (0, 3)."""
-    if geometry not in GEOMETRIES:
-        raise DomainError(f"geometry must be one of {GEOMETRIES}, got {geometry!r}")
-    lo, hi = 1e-9, 3.0
-    root, res = optimize.brentq(
-        lambda z: _balance_residual(geometry, z),
-        lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps,
-        maxiter=200, full_output=True,
-    )
-    return RootReport(
-        root=float(root),
-        residual=float(_balance_residual(geometry, root)),
-        bracket=(lo, hi),
-        iterations=res.iterations,
-    )
+    return _balance_root(_box(geometry)[2])
 
 
 @functools.cache
@@ -254,22 +259,17 @@ def success_prob_boundary(geometry: str, beta: float) -> float:
     triangular one uses the linear boundary b(t) = t + sqrt(2 beta).  The value
     is D + (J - D) * P(jump passage) and is maximized at beta_star(geometry).
     """
-    if geometry not in GEOMETRIES:
-        raise DomainError(f"geometry must be one of {GEOMETRIES}, got {geometry!r}")
+    jump, drift, _ = _box(geometry)
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if geometry == "rect":
-        j, d = jump_success_rect(beta), drift_success_rect(beta)
-    else:
-        j, d = jump_success_tri(beta), drift_success_tri(beta)
+    j, d = jump(beta), drift(beta)
     return d + (j - d) * _prob_jump_passage(geometry, beta)
 
 
 def samuels_value() -> float:
     """Limit value of the full-information minimum game:
     e^{-b} + (e^b - 1 - b) E1(b) at b = beta_star('rect')."""
-    b = _rect_beta_star()
-    return math.exp(-b) + (math.exp(b) - 1.0 - b) * expint_e1(b)
+    return gm_limit_finite_T(math.inf)
 
 
 def gm_limit_finite_T(T: float) -> float:
@@ -316,16 +316,7 @@ def theta_beta_star(theta: float) -> RootReport:
     theta = 1/2 the triangular one."""
     if theta <= 0:
         raise DomainError(f"theta must be positive, got {theta}")
-
-    def f(z):
-        return math.exp(z) * _drift_success_theta(theta, z) - 1.0
-
-    lo, hi = 1e-9, 3.0
-    root, res = optimize.brentq(
-        f, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps,
-        maxiter=200, full_output=True,
-    )
-    return RootReport(float(root), float(f(root)), (lo, hi), res.iterations)
+    return _balance_root(lambda z: math.exp(z) * _drift_success_theta(theta, z))
 
 
 def theta_limit(theta: float) -> float:
@@ -335,8 +326,6 @@ def theta_limit(theta: float) -> float:
         Gamma(1-theta, b, inf) * (-b^theta + e^b theta Gamma(theta, 0, b)) + e^{-b}
 
     evaluated at b = theta_beta_star(theta)."""
-    if theta <= 0:
-        raise DomainError(f"theta must be positive, got {theta}")
     b = theta_beta_star(theta).root
     upper = gamma_incomplete(1.0 - theta, b, math.inf)
     lower = gamma_incomplete(theta, 0.0, b)
@@ -385,6 +374,8 @@ def ladder_residual(k: int, z: float) -> float:
 
 # Largest truncation the level series will build (8 bytes of roots per level).
 MAX_LEVELS = 5_000_000
+# Default bound on the level-series mass dropped by truncation.
+_TAIL_TOL = 1e-10
 # Intensities at or above this overflow e^lam.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -482,14 +473,17 @@ def rect_roots(k_max: int, lam: float = 1.0) -> BoundaryLadder:
     return BoundaryLadder(cutoffs=cutoffs, roots=roots, lam=lam)
 
 
-def rect_limit_tail_bound(lam: float, k_max: int) -> float:
-    """Upper bound on the mass dropped by truncating the level series at k_max.
+def rect_limit_tail_bound(lam: float, k_max: int | None = None) -> float:
+    """Upper bound on the mass dropped by truncating the level series at k_max,
+    by default at the truncation rect_limit picks for its default tol.
 
     Per level k the drift term is at most (e^lam - 1) e^{-lam k} and the jump
     term at most beta e^beta e^{-lam k}/k < 2.3 e^{-lam k}/k, so a geometric
     tail bound applies: r^k_max + 2.3 r^(k_max+1) / (k_max (1 - r)) with
     r = e^{-lam}, written without e^lam so that it is finite for every lam.
     """
+    if k_max is None:
+        k_max = _auto_k_max(lam, _TAIL_TOL)
     r = math.exp(-lam)
     return r ** k_max + 2.3 * r ** (k_max + 1) / (max(k_max, 1) * -math.expm1(-lam))
 
@@ -548,7 +542,7 @@ def _level_series(u: np.ndarray, lam: float, k_max: int) -> tuple[float, float]:
     return math.fsum(jump), math.fsum(drift)
 
 
-def rect_limit(lam: float, k_max: int | None = None, tol: float = 1e-10) -> Decomposition:
+def rect_limit(lam: float, k_max: int | None = None, tol: float = _TAIL_TOL) -> Decomposition:
     """Limit success probability for the integer-level model at intensity lam,
     split into jump and drift series over the levels.
 

@@ -164,7 +164,7 @@ def test_c07_closed_form_cross_checks():
     worst = 0.0
     for n in range(1, 501):
         th = fullinfo.gm_optimal_thresholds(n)
-        d = fullinfo.gm_success(n, th.b)
+        d = fullinfo.gm_success(n, th.thresholds)
         worst = max(worst, abs(d.total - fullinfo.sakaguchi_value(n)))
     assert worst <= 1e-10
     for n in (1, 2, 10, 40):

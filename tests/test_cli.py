@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from stoprule import cli
-from stoprule.models import ThresholdPolicy
+from stoprule.models import ObservationModel, ThresholdPolicy
 
 
 def run_cli(capsys, *args):
@@ -226,6 +226,39 @@ class TestThresholdsAndFullinfo:
         assert len(lines) == 4
 
 
+# Each --model name with its parameter flags, the constructor it must match
+# and the flag that cannot be left out (None: every parameter has a default).
+MODEL_CASES = [
+    ("triangular", (), ObservationModel.triangular, None),
+    ("rectangular", ("--k", "3"), lambda n: ObservationModel.rectangular(n, 3), None),
+    ("pyramid", ("--p", "0.3"), lambda n: ObservationModel.bernoulli_pyramid(n, 0.3), "--p"),
+    ("uniform01", (), ObservationModel.iid_uniform01, None),
+    ("trend-shifted", (), ObservationModel.trend_shifted, None),
+    ("trend-scaled", ("--rho", "0.5"), lambda n: ObservationModel.trend_scaled(n, 0.5), "--rho"),
+    ("trend-power", ("--theta", "2"), lambda n: ObservationModel.trend_power(n, 2.0), "--theta"),
+]
+
+
+@pytest.mark.parametrize("name,flags,ctor,required", MODEL_CASES,
+                         ids=[case[0] for case in MODEL_CASES])
+def test_every_model_flag(capsys, tmp_path, name, flags, ctor, required):
+    # A stop-at-every-record policy, so kinds without a lattice solver run too.
+    policy = tmp_path / "pol.json"
+    policy.write_text(json.dumps(ThresholdPolicy((math.inf,) * 6).to_json()))
+    sim = ("simulate", "--model", name, "--n", "6", "--reps", "1000", "--policy", str(policy))
+    code, out, _ = run_cli(capsys, *sim, *flags)
+    assert code == 0
+    assert json.loads(out)["model"] == ctor(6).to_json()
+    if required is not None:
+        code, out, err = run_cli(capsys, *sim)
+        assert code == 1 and out == ""
+        assert required in err
+    if name == "rectangular":
+        code, out, _ = run_cli(capsys, *sim)
+        assert code == 0
+        assert json.loads(out)["model"] == ObservationModel.rectangular(6, 6).to_json()
+
+
 class TestErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -278,6 +311,34 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ("sweep", "--target", "lambda", "--grid", "0:inf:1"),
+        ("sweep", "--target", "lambda", "--grid", "0:nan:1"),
+        ("sweep", "--target", "lambda", "--grid", "1:2:inf"),
+        ("sweep", "--target", "triangular", "--grid=-inf:100:1"),
+        ("sweep", "--target", "lambda", "--grid", "0:1e300:1e-300"),
+        ("fullinfo", "--sweep", "1:nan:1"),
+    ], ids=["hi-inf", "hi-nan", "step-inf", "lo-inf", "count-overflow", "fullinfo-nan"])
+    def test_non_finite_grid_exits_1(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ("fullinfo", "--n", "41"),
+        ("fullinfo", "--sweep", "40:41:1"),
+        ("thresholds", "--model", "uniform01", "--n", "41"),
+        ("simulate", "--model", "uniform01", "--n", "41"),
+    ], ids=["fullinfo", "fullinfo-sweep", "thresholds", "simulate"])
+    def test_full_information_over_cap_exits_1(self, capsys, monkeypatch, args):
+        monkeypatch.setenv("STOPRULE_MAX_N", "40")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "STOPRULE_MAX_N" in err
 
     def test_non_integer_max_n_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("STOPRULE_MAX_N", "abc")

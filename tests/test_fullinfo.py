@@ -8,9 +8,11 @@ from scipy import integrate
 
 from stoprule import fullinfo
 from stoprule.models import (
+    DEFAULT_MAX_N,
     DomainError,
     InvalidPolicyError,
     ObservationModel,
+    ResourceLimitError,
     UnsupportedModelError,
 )
 
@@ -18,25 +20,37 @@ from stoprule.models import (
 class TestOptimalThresholds:
     def test_n2_half(self):
         th = fullinfo.gm_optimal_thresholds(2)
-        assert th.b[0] == pytest.approx(0.5, abs=1e-14)
-        assert th.b[1] == 1.0
+        assert th.thresholds[0] == pytest.approx(0.5, abs=1e-14)
+        assert th.thresholds[1] == 1.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
     def test_residuals(self, n):
         th = fullinfo.gm_optimal_thresholds(n)
         for j in range(1, n):
-            res = fullinfo._threshold_equation(n - j, th.b[j - 1])
+            res = fullinfo._threshold_equation(n - j, th.thresholds[j - 1])
             assert abs(res) <= 1e-12
 
     def test_nondecreasing_up_to_1000(self):
         th = fullinfo.gm_optimal_thresholds(1000)
-        assert np.all(np.diff(th.b) >= 0.0)
-        assert th.b[-1] == 1.0
+        assert np.all(np.diff(th.thresholds) >= 0.0)
+        assert th.thresholds[-1] == 1.0
 
     def test_policy_export(self):
-        pol = fullinfo.gm_optimal_thresholds(6).as_policy()
+        pol = fullinfo.gm_optimal_thresholds(6)
         assert pol.is_nondecreasing()
         assert pol.thresholds[-1] == 1.0
+
+    def test_step_cap(self, monkeypatch):
+        # The roots cost O(n^2) time, so n above the solvers' step cap is
+        # refused before any root is computed.
+        with pytest.raises(ResourceLimitError, match="STOPRULE_MAX_N"):
+            fullinfo.gm_optimal_thresholds(DEFAULT_MAX_N + 1)
+        monkeypatch.setenv("STOPRULE_MAX_N", "40")
+        assert fullinfo.gm_optimal_thresholds(40).n == 40
+        for solver in (fullinfo.gm_optimal_thresholds, fullinfo.sakaguchi_value,
+                       lambda n: fullinfo.gm_success(n, np.ones(n))):
+            with pytest.raises(ResourceLimitError):
+                solver(41)
 
 
 class TestGmSuccess:
@@ -56,7 +70,7 @@ class TestGmSuccess:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 200])
     def test_matches_sakaguchi_at_optimum(self, n):
         th = fullinfo.gm_optimal_thresholds(n)
-        d = fullinfo.gm_success(n, th.b)
+        d = fullinfo.gm_success(n, th.thresholds)
         assert d.total == pytest.approx(fullinfo.sakaguchi_value(n), abs=1e-10)
 
     def test_suboptimal_thresholds_do_worse(self):
@@ -74,7 +88,7 @@ class TestGmSuccess:
         x = rng.random((2_000_000, n))
         m = np.minimum.accumulate(x, axis=1)
         prev = np.hstack([np.full((len(x), 1), np.inf), m[:, :-1]])
-        ok = (x <= prev) & (x <= th.b[None, :])
+        ok = (x <= prev) & (x <= np.asarray(th.thresholds)[None, :])
         has = ok.any(axis=1)
         val = x[np.arange(len(x)), ok.argmax(axis=1)]
         rate = float(np.mean(has & (val == m[:, -1])))
