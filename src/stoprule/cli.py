@@ -96,6 +96,9 @@ def _load_policy(path: str) -> ThresholdPolicy:
     return ThresholdPolicy.from_json(obj)
 
 
+_MAX_GRID = 100_000  # most points in a --grid or --sweep
+
+
 def _parse_grid(text: str):
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
@@ -104,6 +107,8 @@ def _parse_grid(text: str):
     if not (step > 0 and lo <= hi and all(map(math.isfinite, (lo, hi, step, (hi - lo) / step)))):
         raise StopRuleError(f"bad grid {text!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if count > _MAX_GRID:
+        raise StopRuleError(f"grid {text!r} has {count} points, above the cap of {_MAX_GRID}")
     return [lo + i * step for i in range(count)]
 
 
@@ -167,7 +172,7 @@ def _cmd_limit(args) -> int:
         raise StopRuleError("pick exactly one of --geometry, --lambda, --theta")
     if args.geometry is not None:
         report = poisson.beta_star(args.geometry)
-        jump, drift, _ = poisson.GEOMETRIES[args.geometry]
+        _, jump, drift, _ = poisson.GEOMETRIES[args.geometry]
         payload = {
             "geometry": args.geometry,
             "beta_star": report.root,

@@ -252,9 +252,6 @@ class BoundsReport:
     exact_in_bounds: bool
     simulated_in_bounds: bool
 
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
-
 
 def bounds_check(n: int, k: int, reps: int = 200_000, seed: int = 0) -> BoundsReport:
     """Sandwich test for the iid rectangular model: the continuous-game value

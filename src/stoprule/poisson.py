@@ -55,8 +55,7 @@ __all__ = [
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 # Box areas above which the drift functions integrate against the jump
-# functions: the small-area series needs more terms than it keeps from
-# z ~ 250, and the e^{u^2/2} integrand overflows from z ~ 709.
+# functions: the balance series needs more terms than it keeps from z ~ 250.
 _LARGE_AREA = 50.0
 
 
@@ -118,14 +117,15 @@ def gamma_incomplete(a: float, b: float, c: float) -> float:
     return val
 
 
-def _int_expm1_over_s(z: float) -> float:
-    """int_0^z (e^s - 1)/s ds = sum_{k>=1} z^k / (k * k!), entire in z."""
-    if z == 0.0:
-        return 0.0
-    total = 0.0
-    term = 1.0
-    for k in range(1, 400):
-        term *= z / k
+def _balance(theta: float, z: float) -> float:
+    """e^z drift(z) for the beta(theta, 1) area chain, the balance that equals
+    1 at the optimal box area: int_0^z 1F1(1; theta+1; u) du
+    = sum_{m>=1} z^m / (m (theta+1)_{m-1}), positive terms, entire in z.
+    theta = 1 is int_0^z (e^s - 1)/s ds, the rectangular geometry, and
+    theta = 1/2 the triangular one."""
+    term = total = z  # m = 1
+    for k in range(2, 400):
+        term *= z / (theta + (k - 1))
         piece = term / k
         total += piece
         if abs(piece) < 1e-17 * max(abs(total), 1e-300):
@@ -155,14 +155,19 @@ def _drift_from_jump(jump, z: float) -> float:
     return val
 
 
-def drift_success_rect(z: float) -> float:
-    """Success probability stopping at the earliest arrival inside a box of
-    area z, rectangular geometry: e^{-z} int_0^z (e^s - 1)/s ds."""
+def _drift(theta: float, jump, z: float) -> float:
+    """Drift success e^{-z} _balance(theta, z) of a geometry with jump function jump."""
     if z < 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
     if z > _LARGE_AREA:
-        return _drift_from_jump(jump_success_rect, z)
-    return math.exp(-z) * _int_expm1_over_s(z)
+        return _drift_from_jump(jump, z)
+    return math.exp(-z) * _balance(theta, z)
+
+
+def drift_success_rect(z: float) -> float:
+    """Success probability stopping at the earliest arrival inside a box of
+    area z, rectangular geometry: e^{-z} int_0^z (e^s - 1)/s ds."""
+    return _drift(1.0, jump_success_rect, z)
 
 
 def jump_success_tri(z: float) -> float:
@@ -176,35 +181,29 @@ def jump_success_tri(z: float) -> float:
     return math.sqrt(math.pi) * math.erf(rz) / (2.0 * rz)
 
 
-def _tri_drift_inner(z: float) -> float:
-    """int_0^{sqrt(2z)} int_0^u e^{(u^2-v^2)/2} dv du, reduced to a single
-    quadrature via the closed inner integral sqrt(pi/2) e^{u^2/2} erf(u/sqrt(2))."""
-    if z == 0.0:
-        return 0.0
-    hi = math.sqrt(2.0 * z)
-    c = math.sqrt(math.pi / 2.0)
-    val, _ = integrate.quad(
-        lambda u: c * math.exp(0.5 * u * u) * math.erf(u / math.sqrt(2.0)),
-        0.0, hi, **_QUAD_OPTS,
-    )
-    return val
-
-
 def drift_success_tri(z: float) -> float:
     """Triangular-geometry analogue of drift_success_rect:
     e^{-z} * int_0^{sqrt(2z)} int_0^u e^{(u^2-v^2)/2} dv du."""
-    if z < 0:
-        raise DomainError(f"box area must be nonnegative, got {z}")
-    if z > _LARGE_AREA:
-        return _drift_from_jump(jump_success_tri, z)
-    return math.exp(-z) * _tri_drift_inner(z)
+    return _drift(0.5, jump_success_tri, z)
 
 
-# Box functions per geometry: jump(z), drift(z) and e^z drift(z) below
-# _LARGE_AREA, the balance that equals 1 at the optimal box area.
+def _passage_rect(beta: float) -> float:
+    # beta e^beta E1(beta); continued fraction already carries the e^beta.
+    if beta >= 1.0:
+        return beta * _e1_cf(beta)
+    return beta * math.exp(beta) * expint_e1(beta)
+
+
+def _passage_tri(beta: float) -> float:
+    # sqrt(pi beta) e^beta erfc(sqrt(beta)), computed via the scaled erfcx.
+    return math.sqrt(math.pi * beta) * special.erfcx(math.sqrt(beta))
+
+
+# Box functions per geometry: theta of its beta(theta, 1) area chain, jump(z),
+# drift(z), and P(first passage of the self-similar boundary is by jump).
 GEOMETRIES = {
-    "rect": (jump_success_rect, drift_success_rect, _int_expm1_over_s),
-    "tri": (jump_success_tri, drift_success_tri, _tri_drift_inner),
+    "rect": (1.0, jump_success_rect, drift_success_rect, _passage_rect),
+    "tri": (0.5, jump_success_tri, drift_success_tri, _passage_tri),
 }
 
 
@@ -233,23 +232,12 @@ def _balance_root(balance) -> RootReport:
 
 def beta_star(geometry: str) -> RootReport:
     """Optimal box-area parameter: the root of drift(z) = e^{-z} in (0, 3)."""
-    return _balance_root(_box(geometry)[2])
+    return _balance_root(functools.partial(_balance, _box(geometry)[0]))
 
 
 @functools.cache
 def _rect_beta_star() -> float:
     return beta_star("rect").root
-
-
-def _prob_jump_passage(geometry: str, beta: float) -> float:
-    """P(first boundary passage happens by jump) for the self-similar boundary."""
-    if geometry == "rect":
-        # beta e^beta E1(beta); continued fraction already carries the e^beta.
-        if beta >= 1.0:
-            return beta * _e1_cf(beta)
-        return beta * math.exp(beta) * expint_e1(beta)
-    # sqrt(pi beta) e^beta erfc(sqrt(beta)), computed via the scaled erfcx.
-    return math.sqrt(math.pi * beta) * special.erfcx(math.sqrt(beta))
 
 
 def success_prob_boundary(geometry: str, beta: float) -> float:
@@ -259,11 +247,11 @@ def success_prob_boundary(geometry: str, beta: float) -> float:
     triangular one uses the linear boundary b(t) = t + sqrt(2 beta).  The value
     is D + (J - D) * P(jump passage) and is maximized at beta_star(geometry).
     """
-    jump, drift, _ = _box(geometry)
+    _, jump, drift, passage = _box(geometry)
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
     j, d = jump(beta), drift(beta)
-    return d + (j - d) * _prob_jump_passage(geometry, beta)
+    return d + (j - d) * passage(beta)
 
 
 def samuels_value() -> float:
@@ -286,37 +274,13 @@ def gm_limit_finite_T(T: float) -> float:
 # beta(theta, 1) jump chain
 # ---------------------------------------------------------------------------
 
-def _jump_success_theta(theta: float, w: float) -> float:
-    """E[e^{-w Y}] for Y ~ beta(theta, 1): theta w^{-theta} * lower_gamma(theta, w)."""
-    if w <= 0.0:
-        return 1.0
-    if w < 1e-8:
-        return 1.0 - theta * w / (theta + 1.0)
-    return (
-        theta * special.gamma(theta) * special.gammainc(theta, w)
-        * math.exp(-theta * math.log(w))
-    )
-
-
-def _drift_success_theta(theta: float, z: float) -> float:
-    """Success of stopping at the next jump of the area chain started at z:
-    int_0^z e^{-s} E[e^{-(z-s) Y}] ds with Y ~ beta(theta, 1)."""
-    if z == 0.0:
-        return 0.0
-    val, _ = integrate.quad(
-        lambda s: math.exp(-s) * _jump_success_theta(theta, z - s),
-        0.0, z, **_QUAD_OPTS,
-    )
-    return val
-
-
 def theta_beta_star(theta: float) -> RootReport:
     """Optimal area parameter for the beta(theta, 1) jump chain: root of
-    drift_theta(z) = e^{-z}.  theta = 1 recovers the rectangular geometry and
-    theta = 1/2 the triangular one."""
-    if theta <= 0:
-        raise DomainError(f"theta must be positive, got {theta}")
-    return _balance_root(lambda z: math.exp(z) * _drift_success_theta(theta, z))
+    drift_theta(z) = e^{-z}, for any finite theta > 0.  theta = 1 recovers the
+    rectangular geometry and theta = 1/2 the triangular one."""
+    if not 0 < theta < math.inf:
+        raise DomainError(f"theta must be positive and finite, got {theta}")
+    return _balance_root(functools.partial(_balance, theta))
 
 
 def theta_limit(theta: float) -> float:
@@ -325,11 +289,21 @@ def theta_limit(theta: float) -> float:
 
         Gamma(1-theta, b, inf) * (-b^theta + e^b theta Gamma(theta, 0, b)) + e^{-b}
 
-    evaluated at b = theta_beta_star(theta)."""
+    evaluated at b = theta_beta_star(theta).  It is computed as
+
+        e^{-b} + b^2/(theta+1) 1F1(1; theta+2; b) int_1^inf e^{-bu} u^{-theta} du,
+
+    by b^theta Gamma(1-theta, b) = b E_theta(b) and Kummer's transformation
+    e^b theta gamma(theta, b) b^{-theta} - 1 = b/(theta+1) 1F1(1; theta+2; b);
+    neither factor overflows or cancels.  The integral is taken in
+    u = 1 + s/(b+theta), so its integrand falls off on the unit scale of s."""
     b = theta_beta_star(theta).root
-    upper = gamma_incomplete(1.0 - theta, b, math.inf)
-    lower = gamma_incomplete(theta, 0.0, b)
-    return upper * (-(b ** theta) + math.exp(b) * theta * lower) + math.exp(-b)
+    c = b + theta
+    scaled, _ = integrate.quad(lambda s: math.exp(-b * s / c - theta * math.log1p(s / c)),
+                               0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    e_theta = math.exp(-b) * scaled / c
+    kummer = float(special.hyp1f1(1.0, theta + 2.0, b))
+    return math.exp(-b) + b * b / (theta + 1.0) * kummer * e_theta
 
 
 # ---------------------------------------------------------------------------

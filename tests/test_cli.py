@@ -34,6 +34,21 @@ class TestLimit:
         obj = json.loads(out)
         assert abs(obj["value"] - 0.703128) < 1e-5
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_theta_outside_domain_exits_1(self, capsys, theta):
+        code, out, err = run_cli(capsys, "limit", "--theta", theta)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("theta", ["5e-324", "1e6"])
+    def test_extreme_theta(self, capsys, theta):
+        code, out, _ = run_cli(capsys, "limit", "--theta", theta)
+        assert code == 0
+        obj = json.loads(out)
+        assert 0.0 < obj["beta_star"] < 1.0
+        assert math.exp(-1.0) <= obj["value"] <= 1.0
+
     def test_exactly_one_mode_required(self, capsys):
         code, _, err = run_cli(capsys, "limit")
         assert code == 1
@@ -325,6 +340,29 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ("sweep", "--target", "lambda", "--grid", "0:1:1e-6"),
+        ("fullinfo", "--sweep", "1:100001:1"),
+    ], ids=["sweep", "fullinfo"])
+    def test_grid_over_point_cap_exits_1(self, capsys, monkeypatch, args):
+        # rejected before the list of points is built and any point is solved
+        def unreachable(*_):
+            raise AssertionError("a grid over the cap reached the solver")
+
+        monkeypatch.setattr(cli.poisson, "rect_limit", unreachable)
+        monkeypatch.setattr(cli.fullinfo, "sakaguchi_value", unreachable)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert peak < 1e6
+        assert len(cli._parse_grid("1:100000:1")) == cli._MAX_GRID
 
     @pytest.mark.parametrize("args", [
         ("fullinfo", "--n", "41"),

@@ -93,6 +93,21 @@ def mpmath_level_series(lam: float, k_max: int):
         return float(jump), float(drift), float(jump + drift)
 
 
+def mpmath_theta_limit(theta: float) -> float:
+    """theta_limit at 30 digits, sharing no arithmetic with poisson: the
+    balance int_0^z 1F1(1; theta+1; u) du = 1 by quadrature and findroot from
+    the double root, the value in the paper's incomplete-gamma form."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(theta)
+        b = mpmath.findroot(
+            lambda z: mpmath.quad(lambda u: mpmath.hyp1f1(1, t + 1, u), [0, z]) - 1,
+            mpmath.mpf(poisson.theta_beta_star(theta).root),
+        )
+        upper = mpmath.gammainc(1 - t, b, mpmath.inf)
+        lower = mpmath.gammainc(t, 0, b)
+        return float(upper * (-b ** t + mpmath.exp(b) * t * lower) + mpmath.exp(-b))
+
+
 @pytest.fixture(scope="module")
 def reference_ladder():
     return brentq_ladder(3001)
@@ -270,6 +285,17 @@ class TestBetaStar:
         with pytest.raises(DomainError):
             poisson.beta_star("hex")
 
+    def test_rect_path_bits(self):
+        # the balance series at theta = 1 repeats the float operations of the
+        # rectangular series it replaced, so these bits must not move
+        assert poisson.beta_star("rect").root == 0.8043522628456377
+        assert poisson.samuels_value() == 0.5801642239208553
+        assert poisson.drift_success_rect(0.8) == 0.4463294392423774
+
+    def test_tri_against_40_digit_root(self):
+        # root of int_0^z 1F1(1; 3/2; u) du = 1 by mpmath at 40 digits
+        assert poisson.beta_star("tri").root == pytest.approx(0.76066049640683363763, abs=2e-16)
+
 
 class TestBoundaryValues:
     def test_samuels_value(self):
@@ -338,8 +364,20 @@ class TestThetaFamily:
     def test_domain(self):
         with pytest.raises(DomainError):
             poisson.theta_limit(0.0)
-        with pytest.raises(DomainError):
-            poisson.theta_beta_star(-1.0)
+        for theta in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                poisson.theta_beta_star(theta)
+
+    @pytest.mark.parametrize("theta", [1e-6, 0.01, 2.0, 50.0, 100.0, 1000.0])
+    def test_limit_against_mpmath(self, theta):
+        assert poisson.theta_limit(theta) == pytest.approx(mpmath_theta_limit(theta), abs=1e-12)
+
+    def test_limit_at_the_ends(self):
+        # theta -> 0: b -> ln 2 and the value -> 1; theta -> inf: b -> 1 and
+        # the value -> e^{-1}
+        assert poisson.theta_beta_star(5e-324).root == pytest.approx(math.log(2.0), abs=1e-15)
+        assert poisson.theta_limit(5e-324) == pytest.approx(1.0, abs=1e-15)
+        assert poisson.theta_limit(1e6) == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_values_decrease_in_theta(self):
         # smaller theta biases the area jumps toward zero, which helps
