@@ -134,6 +134,8 @@ def _cmd_value(args) -> int:
         return 0
     sol = dp.solve(model, keep_tables=bool(args.tables))
     if args.tables:
+        if sol.tables is None:
+            raise StopRuleError(f"{model.kind} has no value tables")
         stop_tab, cont_tab = sol.tables.as_arrays()
         with open(args.tables, "w") as fh:
             fh.write("j,x,s,v\n")

@@ -27,7 +27,6 @@ threshold rule does after first passage.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +39,6 @@ from .models import (
     RECTANGULAR,
     TRIANGULAR,
     Decomposition,
-    DomainError,
     InvalidPolicyError,
     ObservationModel,
     PrecisionError,
@@ -61,6 +59,9 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 1_000_000
+# Recursion depth cap of the oracle: one-atom steps leave the tuple count at 1
+# (with two atoms a step, ENUMERATION_CAP already stops it near n = 21).
+ORACLE_MAX_STEPS = 64
 TABLE_CELL_CAP = 80_000_000
 # Backward value and jump+drift sums must agree to this tolerance.
 _CONSISTENCY_TOL = 1e-9
@@ -302,11 +303,11 @@ def _pyramid_policy_value(model: ObservationModel, policy: ThresholdPolicy) -> D
     # thresholds the stoppable steps form an upper range [c, n].
     hit = np.nonzero(1.0 / np.arange(1, n + 1) <= bs)[0]
     if len(hit) == 0:
-        return Decomposition(0.0, 0.0, 0.0)
+        return Decomposition(0.0, 0.0)
     c = int(hit[0]) + 1
     if c == 1:
         total = (1.0 - p) ** (n - 1)
-        return Decomposition(total, 0.0, total)
+        return Decomposition(total, 0.0)
     # Stop happens at the first low draw j in [c, n] and succeeds when it is
     # the last one.  The running minimum M_{c-1} seen before it decides the
     # jump/drift attribution: M_{c-1} > b_{j-1} iff b_{j-1} < 1 and no step
@@ -316,7 +317,7 @@ def _pyramid_policy_value(model: ObservationModel, policy: ThresholdPolicy) -> D
     prev = bs[c - 2 : n - 1]
     lows_at_or_below = np.searchsorted(lows, prev, side="right")
     above = np.where(prev < 1.0, (1.0 - p) ** lows_at_or_below, 0.0)
-    return Decomposition.from_parts(weight * math.fsum(above), weight * math.fsum(1.0 - above))
+    return Decomposition(weight * math.fsum(above), weight * math.fsum(1.0 - above))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def solve(model: ObservationModel, keep_tables: bool = False) -> DpSolution:
         model=model,
         tables=tables,
         policy=ThresholdPolicy(thresholds),
-        decomposition=Decomposition.from_parts(jump, drift),
+        decomposition=Decomposition(jump, drift),
     )
 
 
@@ -369,83 +370,51 @@ def policy_value(model: ObservationModel, policy: ThresholdPolicy) -> Decomposit
     if model.kind == BERNOULLI_PYRAMID:
         return _pyramid_policy_value(model, policy)
     _, jump, drift, _, _, _ = _lattice_pass(model, policy=policy)
-    return Decomposition.from_parts(jump, drift)
+    return Decomposition(jump, drift)
 
 
 # ---------------------------------------------------------------------------
 # Enumeration oracle
 # ---------------------------------------------------------------------------
 
-def _support_with_probs(model: ObservationModel, j: int):
-    if model.kind == BERNOULLI_PYRAMID:
-        if j == 1:
-            return [(1.0, 1.0)]
-        return [(1.0 / j, model.p), (float(j), 1.0 - model.p)]
-    lo, hi = model.support(j)
-    return [(float(v), 1.0 / (hi - lo + 1)) for v in range(lo, hi + 1)]
+def brute_force_oracle(model: ObservationModel) -> float:
+    """Optimal success probability by exhausting all outcome tuples.
 
-
-def brute_force_oracle(model: ObservationModel, policy="optimal",
-                       record_semantics: str = "weak") -> float:
-    """Exact value by exhausting all outcome tuples.
-
-    With policy="optimal", decisions are recomputed by backward recursion over
-    full observation histories (not just the running minimum), so agreement
-    with solve() also certifies that the (step, minimum) state is sufficient.
-    Capped at 10^6 outcome tuples.
+    Decisions are recomputed by backward recursion over full observation
+    histories (not just the running minimum), so agreement with solve() also
+    certifies that the (step, minimum) state is sufficient.  Capped at 10^6
+    outcome tuples and ORACLE_MAX_STEPS steps.
     """
-    count = model.outcome_count()
-    if count > ENUMERATION_CAP:
-        raise ResourceLimitError(f"{count} outcome tuples exceed cap {ENUMERATION_CAP}")
-    if record_semantics not in ("weak", "strict"):
-        raise DomainError(f"record_semantics must be weak or strict, got {record_semantics!r}")
-    supports = [_support_with_probs(model, j) for j in range(1, model.n + 1)]
     n = model.n
+    supports, count = [], 1
+    for j in range(1, n + 1):
+        supports.append(model.atoms(j))
+        count *= len(supports[-1])
+        if count > ENUMERATION_CAP or j > ORACLE_MAX_STEPS:
+            raise ResourceLimitError(f"n={n} exceeds the oracle caps of {ENUMERATION_CAP}"
+                                     f" outcome tuples and {ORACLE_MAX_STEPS} steps")
 
-    if isinstance(policy, str) and policy == "optimal":
-        if record_semantics != "weak":
-            raise UnsupportedModelError("the optimal oracle uses weak-record stopping")
-        # Survival products P(X_k >= x) for every distinct support value; by
-        # independence the stop payoff is exact regardless of history.
-        values = sorted({v for sup in supports for v, _ in sup})
-        idx = {v: i for i, v in enumerate(values)}
-        surv = np.ones((n + 2, len(values)))
-        for k in range(n, 0, -1):
-            row = np.array(
-                [math.fsum(pb for vv, pb in supports[k - 1] if vv >= v) for v in values]
-            )
-            surv[k] = surv[k + 1] * row
+    # Survival products P(X_k >= x) for every distinct support value; by
+    # independence the stop payoff is exact regardless of history.
+    values = sorted({v for sup in supports for v, _ in sup})
+    idx = {v: i for i, v in enumerate(values)}
+    surv = np.ones((n + 2, len(values)))
+    for k in range(n, 0, -1):
+        row = np.array(
+            [math.fsum(pb for vv, pb in supports[k - 1] if vv >= v) for v in values]
+        )
+        surv[k] = surv[k + 1] * row
 
-        def best(prefix: tuple) -> float:
-            # Optimal continuation over the full history tree: no state
-            # compression, every prefix is treated as its own node.
-            j = len(prefix)
-            x = prefix[-1]
-            is_record = all(x <= earlier for earlier in prefix[:-1])
-            stop = float(surv[j + 1][idx[x]]) if is_record else -1.0
-            if j == n:
-                return max(stop, 0.0)
-            cont = math.fsum(pb * best(prefix + (v,)) for v, pb in supports[j])
-            return max(stop, cont)
+    def best(prefix: tuple) -> float:
+        # Optimal continuation over the full history tree: no state
+        # compression, every prefix is treated as its own node.
+        j = len(prefix)
+        x = prefix[-1]
+        is_record = all(x <= earlier for earlier in prefix[:-1])
+        stop = float(surv[j + 1][idx[x]]) if is_record else -1.0
+        if j == n:
+            return max(stop, 0.0)
+        cont = math.fsum(pb * best(prefix + (v,)) for v, pb in supports[j])
+        return max(stop, cont)
 
-        return math.fsum(pb * best((v,)) for v, pb in supports[0])
-
-    if not isinstance(policy, ThresholdPolicy):
-        raise InvalidPolicyError(f"policy must be 'optimal' or a ThresholdPolicy, got {policy!r}")
-    if policy.n != n:
-        raise InvalidPolicyError(f"policy length {policy.n} != n = {n}")
-    bs = policy.thresholds
-    total = 0.0
-    for outcome in itertools.product(*supports):
-        prob = 1.0
-        running = math.inf
-        stopped_at = None
-        for j, (v, pb) in enumerate(outcome, start=1):
-            prob *= pb
-            is_record = v <= running if record_semantics == "weak" else v < running
-            running = min(running, v)
-            if stopped_at is None and is_record and v <= bs[j - 1]:
-                stopped_at = v
-        if stopped_at is not None and stopped_at == running:
-            total += prob
-    return total
+    return math.fsum(pb * best((v,)) for v, pb in supports[0])

@@ -108,7 +108,7 @@ def gm_success(n: int, b) -> Decomposition:
         s1 = float(np.sum(np.exp(j * lnq[:j])))
         sn = float(np.sum(qn[:j]))
         drift_terms.append(s1 / (j * (n - j)) - sn / (n * (n - j)))
-    return Decomposition.from_parts(jump, math.fsum(drift_terms))
+    return Decomposition(jump, math.fsum(drift_terms))
 
 
 def sakaguchi_value(n: int) -> float:

@@ -1,7 +1,7 @@
 """Shared domain types for the best-choice (sample minimum) toolkit.
 
 Observation models describe a finite sequence of independent draws and carry
-each draw's law (support, sampler, survival function); threshold
+each draw's law (support, atoms, sampler, survival function); threshold
 policies encode "stop at a record at or below b_j"; value tables hold the
 stop/continuation probabilities on the running-minimum lattice; decompositions
 split a success probability into jump and drift first-passage mass.
@@ -30,10 +30,6 @@ __all__ = [
     "Decomposition",
     "RootReport",
 ]
-
-# Consistency tolerance for total == jump + drift.
-DECOMPOSITION_TOL = 1e-12
-
 
 class StopRuleError(Exception):
     """Base class for all toolkit errors."""
@@ -223,17 +219,12 @@ class ObservationModel:
         v = v + 0 * j  # broadcast against j, which the rectangular bounds ignore
         return np.clip((hi - np.floor(v)) / ((hi - lo) + 1), 0.0, 1.0)
 
-    def outcome_count(self) -> int:
-        """Number of distinct outcome tuples (enumeration size)."""
-        if self.kind == TRIANGULAR:
-            return math.factorial(self.n)
-        if self.kind == RECTANGULAR:
-            return self.k ** self.n
-        if self.kind == BERNOULLI_PYRAMID:
-            return 2 ** (self.n - 1)
-        if self.kind == TREND_SHIFTED:
-            return self.n ** self.n
-        raise UnsupportedModelError(f"{self.kind} is not enumerable")
+    def atoms(self, j: int) -> list[tuple[float, float]]:
+        """(value, probability) pairs of X_j, discrete kinds only."""
+        if self.kind == BERNOULLI_PYRAMID and 1 <= j <= self.n:
+            return [(1.0, 1.0)] if j == 1 else [(1.0 / j, self.p), (float(j), 1.0 - self.p)]
+        lo, hi = self.support(j)
+        return [(float(v), 1.0 / (hi - lo + 1)) for v in range(lo, hi + 1)]
 
     # Serialization --------------------------------------------------------
 
@@ -355,25 +346,20 @@ class Decomposition:
     Solver-produced decompositions have jump >= 0, drift >= 0 and total in
     [0, 1].  Degenerate threshold inputs to the closed-form evaluators can
     produce negative displayed components that cancel; the constructor only
-    enforces the sum identity.
+    requires both parts to be finite.
     """
 
     jump: float
     drift: float
-    total: float
 
     def __post_init__(self):
-        for name in ("jump", "drift", "total"):
+        for name in ("jump", "drift"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-        if abs(self.total - (self.jump + self.drift)) > DECOMPOSITION_TOL:
-            raise DomainError(
-                f"total {self.total} != jump + drift {self.jump + self.drift}"
-            )
 
-    @classmethod
-    def from_parts(cls, jump: float, drift: float) -> "Decomposition":
-        return cls(float(jump), float(drift), float(jump) + float(drift))
+    @property
+    def total(self) -> float:
+        return self.jump + self.drift
 
     def to_json(self) -> dict:
         return {"jump": self.jump, "drift": self.drift, "total": self.total}

@@ -34,7 +34,6 @@ from .models import (
 
 __all__ = [
     "expint_e1",
-    "gamma_incomplete",
     "jump_success_rect",
     "drift_success_rect",
     "jump_success_tri",
@@ -53,7 +52,6 @@ __all__ = [
     "rect_general_boundary",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 # Box areas above which the drift functions integrate against the jump
 # functions: the balance series needs more terms than it keeps from z ~ 250.
 _LARGE_AREA = 50.0
@@ -88,33 +86,6 @@ def _e1_cf(x: float) -> float:
         if abs(delta - 1.0) < 1e-15:
             break
     return h
-
-
-def gamma_incomplete(a: float, b: float, c: float) -> float:
-    """Generalized incomplete gamma int_b^c e^{-t} t^{a-1} dt.
-
-    Any real a is allowed when b > 0; for b = 0 the integral converges only
-    for a > 0, where the endpoint singularity is removed by the substitution
-    t = s^2 (exact for a = 1/2, where the integrand becomes 2 e^{-s^2} s^{2a-1}).
-    """
-    if b < 0 or c < b:
-        raise DomainError(f"need 0 <= b <= c, got b={b}, c={c}")
-    if b == 0 and a <= 0:
-        raise DomainError(f"integral diverges at 0 for a={a}")
-    if c == b:
-        return 0.0
-    if b == 0 and a < 1:
-        hi = math.sqrt(c) if math.isfinite(c) else np.inf
-        val, _ = integrate.quad(
-            lambda s: 2.0 * math.exp(-s * s) * s ** (2.0 * a - 1.0),
-            0.0, hi, **_QUAD_OPTS,
-        )
-        return val
-    val, _ = integrate.quad(
-        lambda t: math.exp(-t) * t ** (a - 1.0),
-        b, c if math.isfinite(c) else np.inf, **_QUAD_OPTS,
-    )
-    return val
 
 
 def _balance(theta: float, z: float) -> float:
@@ -536,7 +507,7 @@ def rect_limit(lam: float, k_max: int | None = None, tol: float = _TAIL_TOL) -> 
     _check_levels(k_max)
     u = _log_roots(k_max + 1)
     np.minimum(u, lam, out=u)
-    return Decomposition.from_parts(*_level_series(u, lam, k_max))
+    return Decomposition(*_level_series(u, lam, k_max))
 
 
 def rect_general_boundary(cutoffs) -> Decomposition:
@@ -566,4 +537,4 @@ def rect_general_boundary(cutoffs) -> Decomposition:
         js = np.arange(1, k + 1, dtype=float)
         inner = float(np.sum(np.expm1(js * (1.0 - tk)) / js))
         drift_terms.append(math.exp(-float(k)) * math.expm1(tk) * inner)
-    return Decomposition.from_parts(jump, math.fsum(drift_terms))
+    return Decomposition(jump, math.fsum(drift_terms))

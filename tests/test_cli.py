@@ -320,6 +320,13 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_pyramid_tables_exits_1(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "value", "--model", "pyramid", "--n", "5",
+                                 "--p", "0.3", "--tables", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_failed_consistency_gate_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.dp, "_CONSISTENCY_TOL", -1.0)
         code, out, err = run_cli(capsys, "value", "--model", "triangular", "--n", "5")

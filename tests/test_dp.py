@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 from pathlib import Path
@@ -11,7 +10,6 @@ from scipy.special import gammaln
 
 from stoprule import dp, mc
 from stoprule.models import (
-    DomainError,
     InvalidPolicyError,
     ObservationModel,
     PrecisionError,
@@ -21,15 +19,7 @@ from stoprule.models import (
     UnsupportedModelError,
 )
 
-
-def enumerate_outcomes(model):
-    """All (probability, tuple) pairs, used as an in-test oracle."""
-    sups = [dp._support_with_probs(model, j) for j in range(1, model.n + 1)]
-    for combo in itertools.product(*sups):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
-        yield prob, tuple(v for v, _ in combo)
+from oracles import enumerate_outcomes, policy_oracle
 
 
 def stop_value(model, j, x):
@@ -91,7 +81,7 @@ class TestContValue:
         # Optimal continuation after skipping state (j, x), by recursion over
         # every future history, written independently of the solver.
         def continuation_oracle(model, j, x):
-            sups = [dp._support_with_probs(model, i) for i in range(1, model.n + 1)]
+            sups = [model.atoms(i) for i in range(1, model.n + 1)]
 
             def stop_payoff(step, v):
                 out = 1.0
@@ -325,7 +315,7 @@ class TestPolicyValue:
         got = dp.policy_value(m, huge).total
         same = ThresholdPolicy((-math.inf, math.inf, math.inf, math.inf))
         assert got == pytest.approx(dp.policy_value(m, same).total, abs=1e-15)
-        assert got == pytest.approx(dp.brute_force_oracle(m, huge), abs=1e-12)
+        assert got == pytest.approx(policy_oracle(m, huge), abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -338,7 +328,7 @@ class TestPolicyValue:
         policy = ThresholdPolicy(tuple(sorted(raw)))
         m = ObservationModel.rectangular(n, k)
         assert dp.policy_value(m, policy).total == pytest.approx(
-            dp.brute_force_oracle(m, policy), abs=1e-12
+            policy_oracle(m, policy), abs=1e-12
         )
 
     @settings(max_examples=30, deadline=None)
@@ -351,7 +341,7 @@ class TestPolicyValue:
         policy = ThresholdPolicy(tuple(sorted(raw)))
         m = ObservationModel.triangular(n)
         assert dp.policy_value(m, policy).total == pytest.approx(
-            dp.brute_force_oracle(m, policy), abs=1e-12
+            policy_oracle(m, policy), abs=1e-12
         )
 
     @settings(max_examples=25, deadline=None)
@@ -372,7 +362,7 @@ class TestPolicyValue:
         policy = ThresholdPolicy(tuple(sorted(raw)))
         m = ObservationModel.bernoulli_pyramid(n, p)
         assert dp.policy_value(m, policy).total == pytest.approx(
-            dp.brute_force_oracle(m, policy), abs=1e-12
+            policy_oracle(m, policy), abs=1e-12
         )
 
     @settings(max_examples=60, deadline=None)
@@ -416,13 +406,16 @@ class TestBruteForce:
     def test_trend_shifted_agrees_with_simulation(self, n, thresholds):
         m = ObservationModel.trend_shifted(n)
         policy = ThresholdPolicy(thresholds)
-        exact = dp.brute_force_oracle(m, policy)
+        exact = policy_oracle(m, policy)
         sim = mc.simulate(mc.SimConfig(model=m, policy=policy, replications=200_000, seed=11))
         assert abs(sim.success_rate - exact) <= 4.0 * sim.std_error
 
-    def test_unknown_record_semantics(self):
-        with pytest.raises(DomainError):
-            dp.brute_force_oracle(ObservationModel.triangular(3), record_semantics="loose")
+    def test_step_cap(self):
+        # one atom a step: the tuple count stays 1 and only the depth grows
+        assert dp.brute_force_oracle(ObservationModel.rectangular(64, 1)) == 1.0
+        for n in (65, 340):
+            with pytest.raises(ResourceLimitError):
+                dp.brute_force_oracle(ObservationModel.rectangular(n, 1))
 
 
 # ---------------------------------------------------------------------------

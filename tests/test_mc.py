@@ -11,6 +11,8 @@ from stoprule.models import (
     UnsupportedModelError,
 )
 
+from oracles import policy_oracle
+
 
 def run(model, reps=150_000, seed=0, **kw):
     return mc.simulate(mc.SimConfig(model=model, replications=reps, seed=seed, **kw))
@@ -183,8 +185,8 @@ class TestRecordSemantics:
     def test_strict_dominated_exactly_on_small_model(self):
         m = ObservationModel.rectangular(4, 3)
         pol = dp.solve(m).policy
-        weak = dp.brute_force_oracle(m, pol, record_semantics="weak")
-        strict = dp.brute_force_oracle(m, pol, record_semantics="strict")
+        weak = policy_oracle(m, pol)
+        strict = policy_oracle(m, pol, strict=True)
         assert strict <= weak + 1e-15
 
     def test_continuous_model_unaffected(self):

@@ -120,9 +120,23 @@ class TestObservationModel:
                 m.survival(1, 0.5)
 
     def test_outcome_count(self):
-        assert ObservationModel.triangular(4).outcome_count() == 24
-        assert ObservationModel.rectangular(3, 3).outcome_count() == 27
-        assert ObservationModel.bernoulli_pyramid(5, 0.1).outcome_count() == 16
+        # the enumeration size is the product of the per-step atom counts
+        for m, want in ((ObservationModel.triangular(4), 24),
+                        (ObservationModel.rectangular(3, 3), 27),
+                        (ObservationModel.bernoulli_pyramid(5, 0.1), 16),
+                        (ObservationModel.trend_shifted(3), 27)):
+            assert math.prod(len(m.atoms(j)) for j in range(1, m.n + 1)) == want
+
+    def test_atoms(self):
+        m = ObservationModel.bernoulli_pyramid(4, 0.3)
+        assert m.atoms(1) == [(1.0, 1.0)]
+        assert m.atoms(3) == [(1.0 / 3, 0.3), (3.0, 0.7)]
+        assert ObservationModel.triangular(4).atoms(2) == [(2.0, 1 / 3), (3.0, 1 / 3), (4.0, 1 / 3)]
+        for m in (ObservationModel.bernoulli_pyramid(4, 0.3), ObservationModel.rectangular(2, 3)):
+            with pytest.raises(StateRangeError):
+                m.atoms(m.n + 1)
+        with pytest.raises(UnsupportedModelError):
+            ObservationModel.iid_uniform01(3).atoms(1)
 
     def test_json_roundtrip(self):
         for m in (
@@ -167,15 +181,13 @@ class TestThresholdPolicy:
 
 class TestDecomposition:
     def test_sum_identity_enforced(self):
-        Decomposition(0.25, 0.25, 0.5)
-        with pytest.raises(DomainError):
-            Decomposition(0.3, 0.3, 0.7)
-        with pytest.raises(DomainError):
-            Decomposition(math.inf, 0.0, math.inf)
-
-    def test_from_parts(self):
-        d = Decomposition.from_parts(0.1, 0.2)
-        assert d.total == pytest.approx(0.3, abs=1e-15)
+        # total is derived, so it cannot disagree with its parts
+        d = Decomposition(0.1, 0.2)
+        assert d.total == 0.1 + 0.2
+        assert d.to_json() == {"jump": 0.1, "drift": 0.2, "total": 0.1 + 0.2}
+        for parts in ((math.inf, 0.0), (0.0, math.nan)):
+            with pytest.raises(DomainError):
+                Decomposition(*parts)
 
 
 class TestRootReport:

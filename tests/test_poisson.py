@@ -141,37 +141,6 @@ class TestSpecialFunctions:
         with pytest.raises(DomainError):
             poisson.expint_e1(-1.0)
 
-    def test_gamma_incomplete_half_identities(self):
-        b = 0.7606604964068338
-        left = poisson.gamma_incomplete(0.5, b, math.inf)
-        assert left == pytest.approx(math.sqrt(math.pi) * special.erfc(math.sqrt(b)), abs=1e-12)
-        right = poisson.gamma_incomplete(0.5, 0.0, b)
-        assert right == pytest.approx(math.sqrt(math.pi) * special.erf(math.sqrt(b)), abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "a,b,c",
-        [
-            (0.5, 0.0, 1.3),
-            (0.5, 0.2, math.inf),
-            (1.0, 0.0, 2.0),
-            (2.5, 0.7, 9.0),
-            (-0.5, 0.8, math.inf),
-            (0.0001, 0.5, 4.0),
-            (1.5, 0.0, math.inf),
-        ],
-    )
-    def test_gamma_incomplete_against_mpmath(self, a, b, c):
-        want = float(mpmath.gammainc(a, b, mpmath.inf if math.isinf(c) else c))
-        assert poisson.gamma_incomplete(a, b, c) == pytest.approx(want, rel=1e-11, abs=1e-12)
-
-    def test_gamma_incomplete_domain(self):
-        with pytest.raises(DomainError):
-            poisson.gamma_incomplete(-0.5, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            poisson.gamma_incomplete(0.5, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            poisson.gamma_incomplete(0.5, 2.0, 1.0)
-
 
 class TestBoxFunctions:
     def test_zero_area_limits(self):
@@ -355,8 +324,8 @@ class TestThetaFamily:
         )
         # the gamma-function route evaluated directly at theta = 1/2
         direct = (
-            poisson.gamma_incomplete(0.5, b_tri, math.inf)
-            * (-math.sqrt(b_tri) + 0.5 * math.exp(b_tri) * poisson.gamma_incomplete(0.5, 0.0, b_tri))
+            float(mpmath.gammainc(0.5, b_tri, mpmath.inf))
+            * (-math.sqrt(b_tri) + 0.5 * math.exp(b_tri) * float(mpmath.gammainc(0.5, 0, b_tri)))
             + math.exp(-b_tri)
         )
         assert value == pytest.approx(direct, abs=1e-10)
