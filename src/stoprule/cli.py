@@ -128,6 +128,8 @@ def _cmd_thresholds(args) -> int:
 def _cmd_value(args) -> int:
     model = _model_from_args(args)
     if args.policy and args.policy != "optimal":
+        if args.tables:
+            raise StopRuleError("--tables is not supported with a --policy file")
         decomposition = dp.policy_value(model, _load_policy(args.policy))
         payload = {"model": model.to_json(), **decomposition.to_json()}
         _emit(args, payload)
@@ -174,7 +176,7 @@ def _cmd_limit(args) -> int:
         raise StopRuleError("pick exactly one of --geometry, --lambda, --theta")
     if args.geometry is not None:
         report = poisson.beta_star(args.geometry)
-        _, jump, drift, _ = poisson.GEOMETRIES[args.geometry]
+        _, jump, drift = poisson.GEOMETRIES[args.geometry]
         payload = {
             "geometry": args.geometry,
             "beta_star": report.root,

@@ -4,7 +4,9 @@ The large-n limits of the lattice models reduce to first-passage problems for
 a planar Poisson process.  A record's "box" is the region that must stay empty
 for it to remain the minimum; its area z is the sufficient statistic.  Two box
 geometries appear: rectangular (iid-style scatter on a strip) and triangular
-(observations with a linear trend, scatter above the diagonal).
+(observations with a linear trend, scatter above the diagonal).  They are
+the theta = 1 and theta = 1/2 members of the beta(theta, 1) area chain, in
+which a record's share of its box is beta(theta, 1)-distributed.
 
 For each geometry this module provides the success probabilities of stopping
 at a record inside the box (jump) and of stopping at the next arrival in the
@@ -68,26 +70,6 @@ def expint_e1(x: float) -> float:
     return float(special.exp1(x))
 
 
-def _e1_cf(x: float) -> float:
-    """Continued-fraction part of E1: e^x * E1(x) for x >= 1, computed
-    directly because e^x * exp1(x) overflows above x ~ 709."""
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h
-
-
 def _balance(theta: float, z: float) -> float:
     """e^z drift(z) for the beta(theta, 1) area chain, the balance that equals
     1 at the optimal box area: int_0^z 1F1(1; theta+1; u) du
@@ -105,76 +87,83 @@ def _balance(theta: float, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Box-success functions, both geometries
+# Box-success functions of the beta(theta, 1) area chain
 # ---------------------------------------------------------------------------
 
-def jump_success_rect(z: float) -> float:
-    """Success probability stopping at a record uniformly placed in a box of
-    area z, rectangular geometry: (1 - e^{-z}) / z."""
+def _jump(theta: float, z: float) -> float:
+    """Success probability stopping at a record placed in a box of area z,
+    when the record's share of the box is beta(theta, 1):
+    int_0^1 e^{-z v} theta v^{theta-1} dv = 1F1(theta; theta+1; -z)."""
     if z < 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
-    if z == 0.0:
-        return 1.0
-    return -math.expm1(-z) / z
+    return float(special.hyp1f1(theta, theta + 1.0, -z))
 
 
-def _drift_from_jump(jump, z: float) -> float:
-    """Drift success as e^{-z} int_0^z e^u jump(u) du = int_0^z e^{-y} jump(z - y) dy,
-    an integrand below 1 for every z; past y ~ 745, e^{-y} underflows to 0."""
-    val, _ = integrate.quad(lambda y: math.exp(-y) * jump(z - y), 0.0, min(z, 745.0),
-                            epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
-
-
-def _drift(theta: float, jump, z: float) -> float:
-    """Drift success e^{-z} _balance(theta, z) of a geometry with jump function jump."""
+def _drift(theta: float, z: float) -> float:
+    """Drift success e^{-z} _balance(theta, z).  Past _LARGE_AREA it is
+    int_0^z e^{-y} jump(z - y) dy, an integrand below 1 for every z; past
+    y ~ 745, e^{-y} underflows to 0."""
     if z < 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
     if z > _LARGE_AREA:
-        return _drift_from_jump(jump, z)
+        return integrate.quad(lambda y: math.exp(-y) * _jump(theta, z - y), 0.0, min(z, 745.0),
+                              epsabs=0.0, epsrel=1e-12, limit=200)[0]
     return math.exp(-z) * _balance(theta, z)
+
+
+def _passage(theta: float, beta: float) -> float:
+    """P(the self-similar boundary with area parameter beta is first passed
+    by a jump) = beta^theta e^beta Gamma(1-theta, beta)
+    = int_0^inf e^{-u} (1 + u/beta)^{-theta} du, integrated in y = ln u: split
+    at ln beta, where (1 + u/beta)^{-theta} bends, and cut at y = 6, past
+    which the integrand is below e^{-397}."""
+    log_beta = math.log(beta)
+
+    def integrand(y):
+        x = y - log_beta
+        softplus = max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+        return math.exp(y - math.exp(y) - theta * softplus)
+
+    cut = min(log_beta, 6.0)
+    return math.fsum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for lo, hi in ((-np.inf, cut), (cut, 6.0)))
+
+
+def _boundary_value(theta: float, beta: float) -> float:
+    """Success probability D + (J - D) P of the self-similar boundary with
+    area parameter beta in the beta(theta, 1) chain."""
+    j, d = _jump(theta, beta), _drift(theta, beta)
+    return d + (j - d) * _passage(theta, beta)
+
+
+def jump_success_rect(z: float) -> float:
+    """Success probability stopping at a record uniformly placed in a box of
+    area z, rectangular geometry (theta = 1): (1 - e^{-z}) / z."""
+    return _jump(1.0, z)
 
 
 def drift_success_rect(z: float) -> float:
     """Success probability stopping at the earliest arrival inside a box of
     area z, rectangular geometry: e^{-z} int_0^z (e^s - 1)/s ds."""
-    return _drift(1.0, jump_success_rect, z)
+    return _drift(1.0, z)
 
 
 def jump_success_tri(z: float) -> float:
-    """Triangular-geometry analogue of jump_success_rect:
+    """Triangular-geometry (theta = 1/2) analogue of jump_success_rect:
     int_0^1 e^{-z u^2} du = sqrt(pi) erf(sqrt(z)) / (2 sqrt(z))."""
-    if z < 0:
-        raise DomainError(f"box area must be nonnegative, got {z}")
-    if z < 1e-8:
-        return 1.0 - z / 3.0
-    rz = math.sqrt(z)
-    return math.sqrt(math.pi) * math.erf(rz) / (2.0 * rz)
+    return _jump(0.5, z)
 
 
 def drift_success_tri(z: float) -> float:
     """Triangular-geometry analogue of drift_success_rect:
     e^{-z} * int_0^{sqrt(2z)} int_0^u e^{(u^2-v^2)/2} dv du."""
-    return _drift(0.5, jump_success_tri, z)
+    return _drift(0.5, z)
 
 
-def _passage_rect(beta: float) -> float:
-    # beta e^beta E1(beta); continued fraction already carries the e^beta.
-    if beta >= 1.0:
-        return beta * _e1_cf(beta)
-    return beta * math.exp(beta) * expint_e1(beta)
-
-
-def _passage_tri(beta: float) -> float:
-    # sqrt(pi beta) e^beta erfc(sqrt(beta)), computed via the scaled erfcx.
-    return math.sqrt(math.pi * beta) * special.erfcx(math.sqrt(beta))
-
-
-# Box functions per geometry: theta of its beta(theta, 1) area chain, jump(z),
-# drift(z), and P(first passage of the self-similar boundary is by jump).
+# Box functions per geometry: theta of its beta(theta, 1) area chain, jump(z), drift(z).
 GEOMETRIES = {
-    "rect": (1.0, jump_success_rect, drift_success_rect, _passage_rect),
-    "tri": (0.5, jump_success_tri, drift_success_tri, _passage_tri),
+    "rect": (1.0, jump_success_rect, drift_success_rect),
+    "tri": (0.5, jump_success_tri, drift_success_tri),
 }
 
 
@@ -203,7 +192,7 @@ def _balance_root(balance) -> RootReport:
 
 def beta_star(geometry: str) -> RootReport:
     """Optimal box-area parameter: the root of drift(z) = e^{-z} in (0, 3)."""
-    return _balance_root(functools.partial(_balance, _box(geometry)[0]))
+    return theta_beta_star(_box(geometry)[0])
 
 
 @functools.cache
@@ -218,11 +207,10 @@ def success_prob_boundary(geometry: str, beta: float) -> float:
     triangular one uses the linear boundary b(t) = t + sqrt(2 beta).  The value
     is D + (J - D) * P(jump passage) and is maximized at beta_star(geometry).
     """
-    _, jump, drift, passage = _box(geometry)
+    theta = _box(geometry)[0]
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
-    j, d = jump(beta), drift(beta)
-    return d + (j - d) * passage(beta)
+    return _boundary_value(theta, beta)
 
 
 def samuels_value() -> float:
@@ -260,21 +248,10 @@ def theta_limit(theta: float) -> float:
 
         Gamma(1-theta, b, inf) * (-b^theta + e^b theta Gamma(theta, 0, b)) + e^{-b}
 
-    evaluated at b = theta_beta_star(theta).  It is computed as
-
-        e^{-b} + b^2/(theta+1) 1F1(1; theta+2; b) int_1^inf e^{-bu} u^{-theta} du,
-
-    by b^theta Gamma(1-theta, b) = b E_theta(b) and Kummer's transformation
-    e^b theta gamma(theta, b) b^{-theta} - 1 = b/(theta+1) 1F1(1; theta+2; b);
-    neither factor overflows or cancels.  The integral is taken in
-    u = 1 + s/(b+theta), so its integrand falls off on the unit scale of s."""
-    b = theta_beta_star(theta).root
-    c = b + theta
-    scaled, _ = integrate.quad(lambda s: math.exp(-b * s / c - theta * math.log1p(s / c)),
-                               0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-    e_theta = math.exp(-b) * scaled / c
-    kummer = float(special.hyp1f1(1.0, theta + 2.0, b))
-    return math.exp(-b) + b * b / (theta + 1.0) * kummer * e_theta
+    at b = theta_beta_star(theta): the chain's boundary value D + (J - D) P
+    at its optimal area, where D = e^{-b}, J = theta b^{-theta} gamma(theta, b)
+    and P = b^theta e^b Gamma(1-theta, b)."""
+    return _boundary_value(theta, theta_beta_star(theta).root)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +512,8 @@ def rect_general_boundary(cutoffs) -> Decomposition:
         if tk >= 1.0:
             continue
         js = np.arange(1, k + 1, dtype=float)
-        inner = float(np.sum(np.expm1(js * (1.0 - tk)) / js))
-        drift_terms.append(math.exp(-float(k)) * math.expm1(tk) * inner)
+        a = js * (1.0 - tk)
+        # e^{-k} expm1(a) = e^{a - k} (-expm1(-a)); a - k <= 0, so no term overflows.
+        inner = float(np.sum(np.exp(a - k) * -np.expm1(-a) / js))
+        drift_terms.append(math.expm1(tk) * inner)
     return Decomposition(jump, math.fsum(drift_terms))

@@ -327,6 +327,19 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_policy_tables_exits_1(self, capsys, tmp_path):
+        # --tables writes the optimal policy's tables, so a policy file with
+        # it is an error rather than a silently skipped flag
+        policy = tmp_path / "p.json"
+        policy.write_text(json.dumps(ThresholdPolicy((0.0, 1.0, 2.0, math.inf)).to_json()))
+        tables = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "value", "--model", "triangular", "--n", "4",
+                                 "--policy", str(policy), "--tables", str(tables))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not tables.exists()
+
     def test_failed_consistency_gate_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.dp, "_CONSISTENCY_TOL", -1.0)
         code, out, err = run_cli(capsys, "value", "--model", "triangular", "--n", "5")

@@ -108,6 +108,21 @@ def mpmath_theta_limit(theta: float) -> float:
         return float(upper * (-b ** t + mpmath.exp(b) * t * lower) + mpmath.exp(-b))
 
 
+def mpmath_boundary_value(theta: float, beta: float) -> float:
+    """D + (J - D) P of the beta(theta, 1) chain at 40 digits, sharing no
+    arithmetic with poisson: J = 1F1(theta; theta+1; -beta), D = e^{-beta}
+    int_0^beta 1F1(1; theta+1; u) du by quadrature and P = beta^theta e^beta
+    Gamma(1-theta, beta) by gammainc."""
+    with mpmath.workdps(40):
+        t, b = mpmath.mpf(theta), mpmath.mpf(beta)
+        jump = mpmath.hyp1f1(t, t + 1, -b)
+        # e^{-b} 1F1(1; theta+1; u) grows like e^{u-b}, on the unit scale below u = b
+        cuts = [0] + [b - d for d in (64, 16, 4, 1) if d < b] + [b]
+        drift = mpmath.quad(lambda u: mpmath.exp(-b) * mpmath.hyp1f1(1, t + 1, u), cuts)
+        passage = b ** t * mpmath.exp(b) * mpmath.gammainc(1 - t, b)
+        return float(drift + (jump - drift) * passage)
+
+
 @pytest.fixture(scope="module")
 def reference_ladder():
     return brentq_ladder(3001)
@@ -285,6 +300,15 @@ class TestBoundaryValues:
         with pytest.raises(DomainError):
             poisson.success_prob_boundary("rect", 0.0)
 
+    @pytest.mark.parametrize("beta", [1e-300, 1e-100, 1e-12, 1e-8, 1e-3, 0.5, 2.0,
+                                      40.0, 49.9, 60.0, 300.0])
+    def test_against_mpmath(self, beta):
+        # both sides of _LARGE_AREA, and areas small enough that the passage
+        # term carries the value
+        for geom, theta in (("rect", 1.0), ("tri", 0.5)):
+            assert poisson.success_prob_boundary(geom, beta) == pytest.approx(
+                mpmath_boundary_value(theta, beta), rel=1e-13, abs=0)
+
     def test_finite_horizon_variant(self):
         b = poisson.beta_star("rect").root
         assert poisson.gm_limit_finite_T(b) == pytest.approx(math.exp(-b), abs=1e-14)
@@ -337,7 +361,7 @@ class TestThetaFamily:
             with pytest.raises(DomainError):
                 poisson.theta_beta_star(theta)
 
-    @pytest.mark.parametrize("theta", [1e-6, 0.01, 2.0, 50.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("theta", [1e-6, 0.01, 0.5, 1.0, 2.0, 3.0, 50.0, 100.0, 1000.0])
     def test_limit_against_mpmath(self, theta):
         assert poisson.theta_limit(theta) == pytest.approx(mpmath_theta_limit(theta), abs=1e-12)
 
@@ -547,6 +571,16 @@ class TestGeneralBoundary:
         assert totals[0] > totals[1] > totals[2]
         assert totals[2] < 0.05
         assert all(t < poisson.rect_limit(1.0).total for t in totals)
+
+    def test_long_cutoff_lists_do_not_overflow(self):
+        # the drift sum of level k holds e^{k (1 - t_k)}, past float range
+        # once k (1 - t_k) > 709.78 unless the e^{-k} weight is applied first
+        totals = [poisson.rect_general_boundary(np.zeros(k)).total for k in (700, 709, 710, 2000)]
+        assert all(math.isfinite(t) for t in totals)
+        assert all(a > b for a, b in zip(totals, totals[1:]))
+        half = poisson.rect_general_boundary(np.full(2000, 0.5)).total
+        assert half == pytest.approx(poisson.rect_general_boundary(np.full(1400, 0.5)).total,
+                                     rel=0, abs=1e-15)
 
     def test_suboptimal_cutoffs_do_worse(self):
         best = poisson.rect_limit(1.0).total
