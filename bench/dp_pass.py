@@ -46,6 +46,27 @@ def machine() -> dict:
     return out
 
 
+def merge_column(path: str, bench: str, reps: int, label: str, column: dict) -> None:
+    """Write column under label into the JSON file at path, keeping the
+    columns already there, with the machine and library versions."""
+    import numpy as np
+    import scipy
+
+    doc = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+    doc["bench"] = bench
+    doc["reps"] = reps
+    doc["machine"] = machine()
+    doc["versions"] = {"python": platform.python_version(), "numpy": np.__version__,
+                       "scipy": scipy.__version__}
+    doc.setdefault("columns", {})[label] = column
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def perturbed(thresholds) -> tuple:
     """Finite thresholds moved by -3..3 in a fixed pattern, clamped at 0 and
     kept nondecreasing; the last stays +inf."""
@@ -65,8 +86,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sys.path.insert(0, os.path.abspath(args.src))
-    import numpy as np
-    import scipy
     from stoprule import dp
     from stoprule.models import ObservationModel, ThresholdPolicy
 
@@ -94,19 +113,7 @@ def main(argv=None) -> int:
         column[name] = {"median_s": round(med, 4), "iqr_s": round(q3 - q1, 4)}
         print(f"{args.label:>8}  {name:<42} {med:8.3f} s  (IQR {q3 - q1:.3f})", flush=True)
 
-    doc = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    doc["bench"] = "bench/dp_pass.py"
-    doc["reps"] = REPS
-    doc["machine"] = machine()
-    doc["versions"] = {"python": platform.python_version(), "numpy": np.__version__,
-                       "scipy": scipy.__version__}
-    doc.setdefault("columns", {})[args.label] = column
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    merge_column(args.out, "bench/dp_pass.py", REPS, args.label, column)
     return 0
 
 

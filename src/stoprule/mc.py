@@ -1,14 +1,20 @@
 """Seeded Monte Carlo harness.
 
-Replications are processed in fixed-size blocks, each drawing from a Philox
-stream keyed by (seed, block index), and aggregated with integer counters, so
-a given (config, seed) pair produces bitwise-identical results regardless of
-execution order or worker count.
+Replications are split into blocks of about _BLOCK_TARGET floats, block i
+drawing from the Philox stream keyed by (seed, i) in chunks of about
+_CHUNK_TARGET floats, one after another, through one reused buffer.  The
+blocks are scanned on one thread per available CPU (Philox and numpy release
+the GIL).  Consecutive draws equal one draw of the whole block, and the
+integer counters of the blocks are summed once all are done, so a given
+(config, seed) pair produces bitwise-identical results regardless of chunk
+size, execution order or worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,11 +28,13 @@ from .models import (
     TRIANGULAR,
     DomainError,
     ObservationModel,
+    ResourceLimitError,
     ThresholdPolicy,
     UnsupportedModelError,
 )
 
 __all__ = [
+    "MAX_DRAWS",
     "SimConfig",
     "SimResult",
     "ScalingReport",
@@ -36,7 +44,9 @@ __all__ = [
     "bounds_check",
 ]
 
-_BLOCK_TARGET = 4_000_000  # floats per sampling block
+_BLOCK_TARGET = 4_000_000  # floats per block: one Philox stream, one task
+_CHUNK_TARGET = 1 << 16  # floats drawn and scanned at a time within a block
+MAX_DRAWS = 10 ** 10  # cap on replications * n of one simulation
 _X_HI = 8.0  # end of the scaling-check comparison range, in units of the scale
 
 
@@ -55,6 +65,8 @@ class SimConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
+        if self.replications * self.model.n > MAX_DRAWS:
+            raise ResourceLimitError(f"replications * n above cap {MAX_DRAWS}")
         if self.record_semantics not in ("weak", "strict"):
             raise DomainError(f"bad record_semantics {self.record_semantics!r}")
         if not (isinstance(self.policy, ThresholdPolicy) or self.policy == "optimal"):
@@ -74,15 +86,22 @@ class SimResult:
         return asdict(self)
 
 
-def _blocks(model: ObservationModel, seed: int, reps: int, cols: int):
-    """Observation blocks X_1..X_cols covering reps replications.  Block i
-    holds the first rows of a full block drawn from the Philox stream keyed
-    by (seed, i), so results do not depend on how blocks are processed."""
+def _map_blocks(scan, model: ObservationModel, seed: int, reps: int, cols: int) -> list:
+    """[scan(chunks of X_1..X_cols) for each block of reps replications],
+    in block order; see the module docstring."""
     block = max(1, min(reps, _BLOCK_TARGET // cols))
-    for index, start in enumerate(range(0, reps, block)):
-        key = (int(seed) & ((1 << 64) - 1)) << 64 | index
-        u = np.random.Generator(np.random.Philox(key=key)).random((block, cols))
-        yield model.sample(u[: min(block, reps - start)])
+
+    def chunks(index):
+        rows = min(block, reps - index * block)
+        g = np.random.Generator(np.random.Philox(key=(int(seed) & (1 << 64) - 1) << 64 | index))
+        buf = np.empty((max(1, min(rows, _CHUNK_TARGET // cols)), cols))
+        for start in range(0, rows, len(buf)):
+            yield model.sample(g.random(out=buf[: rows - start]))
+
+    # sched_getaffinity, which honours CPU pinning, exists only on some systems.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(cpus) as pool:
+        return list(pool.map(lambda index: scan(chunks(index)), range(-(-reps // block))))
 
 
 def optimal_policy(model: ObservationModel) -> ThresholdPolicy:
@@ -111,28 +130,31 @@ def simulate(config: SimConfig) -> SimResult:
     strict = config.record_semantics == "strict"
     reps = config.replications
 
-    n_success = 0
-    n_tie = 0
-    sum_tau = 0
-    sum_tau_sq = 0
-    for x in _blocks(model, config.seed, reps, n):
-        m = np.minimum.accumulate(x, axis=1)
-        # X_j is a weak record iff it is the running minimum M_j, and a
-        # strict one iff moreover M_{j-1} > X_j.
-        record = x == m
-        if strict:
-            record[:, 1:] &= m[:, :-1] > x[:, 1:]
-        stoppable = record & (x <= b[None, :])
-        has = stoppable.any(axis=1)
-        first = stoppable.argmax(axis=1)
-        tau = np.where(has, first + 1, n)
-        final_min = m[:, -1]
-        value = x[np.arange(len(x)), first]
-        success = has & (value == final_min)
-        n_success += int(np.count_nonzero(success))
-        n_tie += int(np.count_nonzero(np.count_nonzero(x == final_min[:, None], axis=1) >= 2))
-        sum_tau += int(tau.sum())
-        sum_tau_sq += int((tau.astype(np.int64) ** 2).sum())
+    def scan(chunks):
+        n_success = n_tie = sum_tau = sum_tau_sq = 0
+        for x in chunks:
+            m = np.minimum.accumulate(x, axis=1)
+            # X_j is a weak record iff it is the running minimum M_j, and a
+            # strict one iff moreover M_{j-1} > X_j.
+            stoppable = x <= b
+            if strict:
+                stoppable[:, 1:] &= m[:, :-1] > x[:, 1:]
+            stoppable &= x == m
+            first = stoppable.argmax(axis=1)
+            rows = np.arange(len(x))
+            has = stoppable[rows, first]
+            tau = np.where(has, first + 1, n)
+            final_min = m[:, -1]
+            success = has & (x[rows, first] == final_min)
+            ties = np.add.reduce(x == final_min[:, None], axis=1, dtype=np.int32) >= 2
+            n_success += int(np.count_nonzero(success))
+            n_tie += int(np.count_nonzero(ties))
+            sum_tau += int(tau.sum())
+            sum_tau_sq += int((tau.astype(np.int64) ** 2).sum())
+        return n_success, n_tie, sum_tau, sum_tau_sq
+
+    blocks = _map_blocks(scan, model, config.seed, reps, n)
+    n_success, n_tie, sum_tau, sum_tau_sq = map(sum, zip(*blocks))
 
     p = n_success / reps
     mean_tau = sum_tau / reps
@@ -208,7 +230,9 @@ def scaling_check(model: ObservationModel, replications: int = 100_000,
     j_cut = min(n, int(math.ceil(_X_HI * scale)) + 1)
     cap = _X_HI * scale
 
-    samples = np.concatenate([x.min(axis=1) for x in _blocks(model, seed, replications, j_cut)])
+    samples = np.concatenate(_map_blocks(
+        lambda chunks: np.concatenate([x.min(axis=1) for x in chunks]),
+        model, seed, replications, j_cut))
 
     clipped = int(np.count_nonzero(samples > cap))
     samples = np.minimum(samples, cap)

@@ -193,21 +193,27 @@ class ObservationModel:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Map a (rows, cols) block of uniforms on [0, 1) to the observations
-        X_1..X_cols, one replication per row."""
-        n = self.n
+        X_1..X_cols, one replication per row.  The block u is consumed: the
+        observations overwrite it in place and u itself is returned."""
         js = np.arange(1, u.shape[1] + 1, dtype=float)
         if self.kind == IID_UNIFORM01:
             return u
-        if self.kind == TREND_SCALED:
-            return js + self.rho * n * u
-        if self.kind == TREND_POWER:
-            return js + n * u ** (1.0 / self.theta)
         if self.kind == BERNOULLI_PYRAMID:
-            x = np.where(u < self.p, 1.0 / js, js)
-            x[:, 0] = 1.0
-            return x
-        lo, hi = self._interval(js)
-        return lo + np.floor(u * ((hi - lo) + 1))
+            u[...] = np.where(u < self.p, 1.0 / js, js)
+            u[:, 0] = 1.0
+            return u
+        lo = js
+        if self.kind == TREND_SCALED:
+            u *= self.rho * self.n
+        elif self.kind == TREND_POWER:
+            u **= 1.0 / self.theta
+            u *= self.n
+        else:
+            lo, hi = self._interval(js)
+            u *= (hi - lo) + 1
+            np.floor(u, out=u)
+        u += lo
+        return u
 
     def survival(self, j, v):
         """P(X_j > v), broadcast over arrays of steps j and values v."""

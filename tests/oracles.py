@@ -1,12 +1,19 @@
-"""Enumeration oracles used only by the tests.
+"""Oracles used only by the tests.
 
-Both read the law of each step from ObservationModel.atoms, as
-dp.brute_force_oracle does, and enumerate every outcome tuple, so they are
-meant for models with at most about 10^6 tuples.
+The enumeration oracles read the law of each step from
+ObservationModel.atoms, as dp.brute_force_oracle does, and enumerate every
+outcome tuple, so they are meant for models with at most about 10^6 tuples.
+simulate_oracle is the whole-block Monte Carlo scan that mc.simulate
+replaced with chunked, threaded scans; it must give the same SimResult.
 """
 
 import itertools
 import math
+
+import numpy as np
+
+from stoprule import mc
+from stoprule.models import ThresholdPolicy
 
 
 def enumerate_outcomes(model):
@@ -35,3 +42,48 @@ def policy_oracle(model, policy, strict=False):
         if stopped_at is not None and stopped_at == running:
             total += prob
     return total
+
+
+def simulate_oracle(config, block_target=4_000_000):
+    """mc.simulate on one thread, one whole block at a time: block i is the
+    first rows of a (block, n) draw from the Philox stream keyed by
+    (seed, i), with block = max(1, min(reps, block_target // n)) rows."""
+    model, reps = config.model, config.replications
+    n = model.n
+    policy = config.policy
+    if not isinstance(policy, ThresholdPolicy):
+        policy = mc.optimal_policy(model)
+    b = np.asarray(policy.thresholds)
+    block = max(1, min(reps, block_target // n))
+    n_success = n_tie = sum_tau = sum_tau_sq = 0
+    for index, start in enumerate(range(0, reps, block)):
+        key = (int(config.seed) & ((1 << 64) - 1)) << 64 | index
+        u = np.random.Generator(np.random.Philox(key=key)).random((block, n))
+        x = model.sample(u[: min(block, reps - start)])
+        m = np.minimum.accumulate(x, axis=1)
+        record = x == m
+        if config.record_semantics == "strict":
+            record[:, 1:] &= m[:, :-1] > x[:, 1:]
+        stoppable = record & (x <= b[None, :])
+        has = stoppable.any(axis=1)
+        first = stoppable.argmax(axis=1)
+        tau = np.where(has, first + 1, n)
+        final_min = m[:, -1]
+        value = x[np.arange(len(x)), first]
+        success = has & (value == final_min)
+        n_success += int(np.count_nonzero(success))
+        n_tie += int(np.count_nonzero(np.count_nonzero(x == final_min[:, None], axis=1) >= 2))
+        sum_tau += int(tau.sum())
+        sum_tau_sq += int((tau.astype(np.int64) ** 2).sum())
+
+    p = n_success / reps
+    mean_tau = sum_tau / reps
+    var_tau = max(sum_tau_sq / reps - mean_tau ** 2, 0.0)
+    return mc.SimResult(
+        success_rate=p,
+        tie_rate=n_tie / reps,
+        mean_stop_fraction=mean_tau / n,
+        std_error=math.sqrt(p * (1.0 - p) / reps),
+        mean_stop_std_error=math.sqrt(var_tau / reps) / n,
+        replications=reps,
+    )

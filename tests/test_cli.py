@@ -405,3 +405,16 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "STOPRULE_MAX_N" in err
+
+    @pytest.mark.parametrize("args", [
+        ("--model", "triangular", "--n", "50", "--reps", "10000000000000"),
+        ("--model", "uniform01", "--n", "20", "--reps", "500000001"),
+        ("--model", "trend-power", "--n", "100000", "--theta", "2", "--reps", "100001"),
+    ], ids=["huge-reps", "one-over", "wide-model"])
+    def test_simulate_over_draw_cap_exits_1(self, capsys, args):
+        # replications * n above mc.MAX_DRAWS is refused before any sampling
+        code, out, err = run_cli(capsys, "simulate", *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "above cap" in err

@@ -1,17 +1,21 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stoprule import dp, fullinfo, mc
 from stoprule.models import (
     DomainError,
     ObservationModel,
+    ResourceLimitError,
     ThresholdPolicy,
     UnsupportedModelError,
 )
 
-from oracles import policy_oracle
+from oracles import policy_oracle, simulate_oracle
 
 
 def run(model, reps=150_000, seed=0, **kw):
@@ -36,6 +40,85 @@ class TestDeterminism:
         m = ObservationModel.triangular(7)
         r = run(m, reps=12_347, seed=9)
         assert r.replications == 12_347
+
+
+MODEL_STRATEGIES = {
+    "iid_uniform01": lambda n: st.just(ObservationModel.iid_uniform01(n)),
+    "triangular": lambda n: st.just(ObservationModel.triangular(n)),
+    "rectangular": lambda n: st.integers(1, 6).map(lambda k: ObservationModel.rectangular(n, k)),
+    "bernoulli_pyramid": lambda n: st.floats(0.05, 0.95).map(
+        lambda p: ObservationModel.bernoulli_pyramid(n, p)),
+    "trend_shifted": lambda n: st.just(ObservationModel.trend_shifted(n)),
+    "trend_scaled": lambda n: st.floats(0.1, 3.0).map(lambda r: ObservationModel.trend_scaled(n, r)),
+    "trend_power": lambda n: st.floats(0.2, 5.0).map(lambda t: ObservationModel.trend_power(n, t)),
+}
+
+
+@st.composite
+def small_configs(draw):
+    """SimConfig arguments other than replications: a small model of any
+    kind, the optimal policy where dp.solve or fullinfo provides one and an
+    explicit one otherwise."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(sorted(MODEL_STRATEGIES)))
+    model = draw(MODEL_STRATEGIES[kind](n))
+    threshold = st.one_of(st.floats(-1.0, 2.0 * n + 2.0), st.sampled_from([-math.inf, math.inf]))
+    explicit = st.lists(threshold, min_size=n, max_size=n).map(ThresholdPolicy)
+    policy = draw(explicit if kind.startswith("trend") else st.one_of(st.just("optimal"), explicit))
+    return dict(model=model, policy=policy, seed=draw(st.integers(0, 2**64 - 1)),
+                record_semantics=draw(st.sampled_from(["weak", "strict"])))
+
+
+class TestChunkedScan:
+    # simulate draws each block in chunks and scans the blocks on a thread
+    # pool; the whole-block scan in oracles.simulate_oracle fixes its output.
+    @settings(max_examples=150, deadline=None)
+    @given(args=small_configs(), data=st.data())
+    def test_matches_whole_block_oracle(self, args, data):
+        # Shrunk block and chunk targets put both edges within a few rows.
+        n = args["model"].n
+        block_rows = data.draw(st.integers(1, 40), label="block_rows")
+        chunk_rows = data.draw(st.integers(1, block_rows), label="chunk_rows")
+        edge = data.draw(st.sampled_from(
+            [chunk_rows, block_rows, 2 * block_rows, 3 * block_rows + chunk_rows]), label="edge")
+        reps = max(1, edge + data.draw(st.integers(-1, 1), label="offset"))
+        config = mc.SimConfig(replications=reps, **args)
+        with mock.patch.object(mc, "_BLOCK_TARGET", block_rows * n), \
+                mock.patch.object(mc, "_CHUNK_TARGET", chunk_rows * n):
+            got = mc.simulate(config)
+        assert got == simulate_oracle(config, block_target=block_rows * n)
+
+    @pytest.mark.parametrize("edge", ["chunk", "block"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("semantics", ["weak", "strict"])
+    def test_matches_oracle_at_default_edges(self, edge, offset, semantics):
+        n = 50
+        rows = mc._CHUNK_TARGET // n if edge == "chunk" else mc._BLOCK_TARGET // n
+        config = mc.SimConfig(model=ObservationModel.triangular(n), replications=rows + offset,
+                              seed=2024, record_semantics=semantics)
+        assert mc.simulate(config) == simulate_oracle(config)
+
+    def test_one_cpu_gives_the_same_result(self, monkeypatch):
+        config = mc.SimConfig(model=ObservationModel.rectangular(30, 7),
+                              replications=400_003, seed=8)
+        model = ObservationModel.trend_shifted(4000)
+        pooled = mc.simulate(config), mc.scaling_check(model, replications=30_000, seed=4)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})
+        assert (mc.simulate(config), mc.scaling_check(model, replications=30_000, seed=4)) == pooled
+        monkeypatch.delattr(mc.os, "sched_getaffinity")  # as on systems without it
+        assert mc.simulate(config) == pooled[0]
+
+    def test_peak_memory_is_bounded_by_chunks(self):
+        # The whole-block scan peaked at about 170 MB here: a 4M-float block
+        # and its full-size temporaries.
+        config = mc.SimConfig(model=ObservationModel.triangular(50), replications=500_000)
+        tracemalloc.start()
+        try:
+            mc.simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 _POL8 = ThresholdPolicy((2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, math.inf))
@@ -281,6 +364,12 @@ class TestConfigValidation:
             mc.SimConfig(model=m, record_semantics="both")
         with pytest.raises(DomainError):
             mc.SimConfig(model=m, policy="greedy")
+
+    def test_draw_cap(self):
+        m = ObservationModel.triangular(50)
+        mc.SimConfig(model=m, replications=mc.MAX_DRAWS // 50)
+        with pytest.raises(ResourceLimitError, match="above cap"):
+            mc.SimConfig(model=m, replications=mc.MAX_DRAWS // 50 + 1)
 
     def test_policy_length_mismatch(self):
         m = ObservationModel.triangular(5)

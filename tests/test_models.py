@@ -108,8 +108,8 @@ class TestObservationModel:
 
     def test_pyramid_and_uniform_samples(self):
         u = np.random.default_rng(2).random((500, 6))
-        assert np.array_equal(ObservationModel.iid_uniform01(6).sample(u), u)
-        x = ObservationModel.bernoulli_pyramid(6, 0.3).sample(u)
+        assert np.array_equal(ObservationModel.iid_uniform01(6).sample(u.copy()), u)
+        x = ObservationModel.bernoulli_pyramid(6, 0.3).sample(u.copy())
         assert np.all(x[:, 0] == 1.0)
         for j in range(2, 7):
             assert np.array_equal(x[:, j - 1], np.where(u[:, j - 1] < 0.3, 1.0 / j, float(j)))
