@@ -175,14 +175,14 @@ def _cmd_limit(args) -> int:
     if sum(chosen) != 1:
         raise StopRuleError("pick exactly one of --geometry, --lambda, --theta")
     if args.geometry is not None:
-        report = poisson.beta_star(args.geometry)
-        _, jump, drift = poisson.GEOMETRIES[args.geometry]
+        theta = poisson.GEOMETRIES[args.geometry]
+        report = poisson.beta_star(theta)
         payload = {
             "geometry": args.geometry,
             "beta_star": report.root,
-            "value": poisson.success_prob_boundary(args.geometry, report.root),
-            "jump": jump(report.root),
-            "drift": drift(report.root),
+            "value": poisson.success_prob_boundary(theta, report.root),
+            "jump": poisson.jump_success(theta, report.root),
+            "drift": poisson.drift_success(theta, report.root),
             "residual": report.residual,
         }
     elif args.lam is not None:
@@ -195,7 +195,7 @@ def _cmd_limit(args) -> int:
             "truncation_error": poisson.rect_limit_tail_bound(args.lam, args.kmax),
         }
     else:
-        report = poisson.theta_beta_star(args.theta)
+        report = poisson.beta_star(args.theta)
         payload = {
             "theta": args.theta,
             "beta_star": report.root,
@@ -269,13 +269,13 @@ def _cmd_check(args) -> int:
     def add(name, ok, detail):
         checks.append((name, bool(ok), detail))
 
-    r = poisson.beta_star("rect").root
+    r = poisson.beta_star(1.0).root
     add("beta_star_rect", abs(r - 0.804352) < 1e-5, r)
-    t = poisson.beta_star("tri").root
+    t = poisson.beta_star(0.5).root
     add("beta_star_tri", abs(t - 0.760660) < 1e-5, t)
     s = poisson.samuels_value()
     add("samuels_value", abs(s - 0.580164) < 1e-5, s)
-    v = poisson.success_prob_boundary("tri", t)
+    v = poisson.success_prob_boundary(0.5, t)
     add("tri_limit", abs(v - 0.703128) < 1e-5, v)
     d = poisson.rect_limit(1.0).total
     add("rect_levels_limit", abs(d - 0.761260) < 1e-5, d)

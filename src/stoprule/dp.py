@@ -63,6 +63,9 @@ ENUMERATION_CAP = 1_000_000
 # (with two atoms a step, ENUMERATION_CAP already stops it near n = 21).
 ORACLE_MAX_STEPS = 64
 TABLE_CELL_CAP = 80_000_000
+# Widest value lattice (x_max) a backward pass builds: a pass holds about 150
+# bytes per lattice value, so about 150 MB at the cap.
+LATTICE_WIDTH_CAP = 1_000_000
 # Backward value and jump+drift sums must agree to this tolerance.
 _CONSISTENCY_TOL = 1e-9
 
@@ -166,11 +169,12 @@ class _RectLattice:
 
 
 def _lattice_for(model: ObservationModel):
-    if model.kind == TRIANGULAR:
-        return _TriLattice(model.n)
-    if model.kind == RECTANGULAR:
-        return _RectLattice(model.n, model.k)
-    raise UnsupportedModelError(f"no lattice solver for {model.kind}")
+    if model.kind not in (TRIANGULAR, RECTANGULAR):
+        raise UnsupportedModelError(f"no lattice solver for {model.kind}")
+    x_max = model.support(model.n)[1]
+    if x_max > LATTICE_WIDTH_CAP:  # refused before any column is allocated
+        raise ResourceLimitError(f"lattice width {x_max} is above cap {LATTICE_WIDTH_CAP}")
+    return _TriLattice(model.n) if model.kind == TRIANGULAR else _RectLattice(model.n, model.k)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,17 @@ geometries appear: rectangular (iid-style scatter on a strip) and triangular
 the theta = 1 and theta = 1/2 members of the beta(theta, 1) area chain, in
 which a record's share of its box is beta(theta, 1)-distributed.
 
-For each geometry this module provides the success probabilities of stopping
+Keyed by theta, this module provides the success probabilities of stopping
 at a record inside the box (jump) and of stopping at the next arrival in the
-box (drift), the optimal box-area parameter beta* solving drift = e^{-z},
-the value of the self-similar optimal boundary, the beta(theta, 1) jump-chain
-generalization, and the integer-levels machinery (root ladder z_k, series
-limits, general cutoff boundaries, lambda-intensity interpolation).
+box (drift), the optimal box-area parameter beta* solving drift = e^{-z} and
+the value of the self-similar optimal boundary; GEOMETRIES names the two
+geometries' theta.  It also holds the integer-levels machinery (root ladder
+z_k, series limits, general cutoff boundaries, lambda-intensity
+interpolation).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -36,15 +36,13 @@ from .models import (
 
 __all__ = [
     "expint_e1",
-    "jump_success_rect",
-    "drift_success_rect",
-    "jump_success_tri",
-    "drift_success_tri",
+    "GEOMETRIES",
+    "jump_success",
+    "drift_success",
     "beta_star",
     "success_prob_boundary",
     "samuels_value",
     "gm_limit_finite_T",
-    "theta_beta_star",
     "theta_limit",
     "BoundaryLadder",
     "ladder_residual",
@@ -87,27 +85,41 @@ def _balance(theta: float, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Box-success functions of the beta(theta, 1) area chain
+# Box functions of the beta(theta, 1) area chain
 # ---------------------------------------------------------------------------
 
-def _jump(theta: float, z: float) -> float:
+# Theta of each named box geometry's beta(theta, 1) area chain.
+GEOMETRIES = {"rect": 1.0, "tri": 0.5}
+
+
+def _check_theta(theta: float) -> None:
+    if not 0 < theta < math.inf:
+        raise DomainError(f"theta must be positive and finite, got {theta}")
+
+
+def jump_success(theta: float, z: float) -> float:
     """Success probability stopping at a record placed in a box of area z,
     when the record's share of the box is beta(theta, 1):
-    int_0^1 e^{-z v} theta v^{theta-1} dv = 1F1(theta; theta+1; -z)."""
+    int_0^1 e^{-z v} theta v^{theta-1} dv = 1F1(theta; theta+1; -z).
+    theta = 1, the rectangular geometry, gives (1 - e^{-z})/z, and theta = 1/2,
+    the triangular one, int_0^1 e^{-z u^2} du = sqrt(pi) erf(sqrt(z))/(2 sqrt(z))."""
     if z < 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
     return float(special.hyp1f1(theta, theta + 1.0, -z))
 
 
-def _drift(theta: float, z: float) -> float:
-    """Drift success e^{-z} _balance(theta, z).  Past _LARGE_AREA it is
-    int_0^z e^{-y} jump(z - y) dy, an integrand below 1 for every z; past
+def drift_success(theta: float, z: float) -> float:
+    """Success probability stopping at the earliest arrival inside a box of
+    area z: e^{-z} _balance(theta, z).  theta = 1 gives
+    e^{-z} int_0^z (e^s - 1)/s ds, and theta = 1/2
+    e^{-z} int_0^{sqrt(2z)} int_0^u e^{(u^2-v^2)/2} dv du.  Past _LARGE_AREA it
+    is int_0^z e^{-y} jump(z - y) dy, an integrand below 1 for every z; past
     y ~ 745, e^{-y} underflows to 0."""
     if z < 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
     if z > _LARGE_AREA:
-        return integrate.quad(lambda y: math.exp(-y) * _jump(theta, z - y), 0.0, min(z, 745.0),
-                              epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        return integrate.quad(lambda y: math.exp(-y) * jump_success(theta, z - y),
+                              0.0, min(z, 745.0), epsabs=0.0, epsrel=1e-12, limit=200)[0]
     return math.exp(-z) * _balance(theta, z)
 
 
@@ -129,117 +141,54 @@ def _passage(theta: float, beta: float) -> float:
                      for lo, hi in ((-np.inf, cut), (cut, 6.0)))
 
 
-def _boundary_value(theta: float, beta: float) -> float:
-    """Success probability D + (J - D) P of the self-similar boundary with
-    area parameter beta in the beta(theta, 1) chain."""
-    j, d = _jump(theta, beta), _drift(theta, beta)
-    return d + (j - d) * _passage(theta, beta)
-
-
-def jump_success_rect(z: float) -> float:
-    """Success probability stopping at a record uniformly placed in a box of
-    area z, rectangular geometry (theta = 1): (1 - e^{-z}) / z."""
-    return _jump(1.0, z)
-
-
-def drift_success_rect(z: float) -> float:
-    """Success probability stopping at the earliest arrival inside a box of
-    area z, rectangular geometry: e^{-z} int_0^z (e^s - 1)/s ds."""
-    return _drift(1.0, z)
-
-
-def jump_success_tri(z: float) -> float:
-    """Triangular-geometry (theta = 1/2) analogue of jump_success_rect:
-    int_0^1 e^{-z u^2} du = sqrt(pi) erf(sqrt(z)) / (2 sqrt(z))."""
-    return _jump(0.5, z)
-
-
-def drift_success_tri(z: float) -> float:
-    """Triangular-geometry analogue of drift_success_rect:
-    e^{-z} * int_0^{sqrt(2z)} int_0^u e^{(u^2-v^2)/2} dv du."""
-    return _drift(0.5, z)
-
-
-# Box functions per geometry: theta of its beta(theta, 1) area chain, jump(z), drift(z).
-GEOMETRIES = {
-    "rect": (1.0, jump_success_rect, drift_success_rect),
-    "tri": (0.5, jump_success_tri, drift_success_tri),
-}
-
-
-def _box(geometry: str):
-    """The GEOMETRIES entry of a geometry name; DomainError for any other name."""
-    if geometry not in GEOMETRIES:
-        raise DomainError(f"geometry must be one of {tuple(GEOMETRIES)}, got {geometry!r}")
-    return GEOMETRIES[geometry]
-
-
 # ---------------------------------------------------------------------------
 # Optimal boundary parameter and values
 # ---------------------------------------------------------------------------
 
-def _balance_root(balance) -> RootReport:
-    """Root in (0, 3) of balance(z) = 1, where balance(z) = e^z drift(z):
-    the optimal box area, at which drift(z) = e^{-z}."""
+def beta_star(theta: float) -> RootReport:
+    """Optimal box-area parameter of the beta(theta, 1) chain, for any finite
+    theta > 0: the root in (0, 3) of e^z drift(z) = 1, at which
+    drift(z) = e^{-z}.  theta = 1 is the rectangular geometry and theta = 1/2
+    the triangular one."""
+    _check_theta(theta)
     lo, hi = 1e-9, 3.0
     root, res = optimize.brentq(
-        lambda z: balance(z) - 1.0,
+        lambda z: _balance(theta, z) - 1.0,
         lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps,
         maxiter=200, full_output=True,
     )
-    return RootReport(float(root), float(balance(root) - 1.0), (lo, hi), res.iterations)
+    return RootReport(float(root), float(_balance(theta, root) - 1.0), (lo, hi), res.iterations)
 
 
-def beta_star(geometry: str) -> RootReport:
-    """Optimal box-area parameter: the root of drift(z) = e^{-z} in (0, 3)."""
-    return theta_beta_star(_box(geometry)[0])
+def success_prob_boundary(theta: float, beta: float) -> float:
+    """Success probability D + (J - D) P of the self-similar boundary with area
+    parameter beta in the beta(theta, 1) chain, maximized at beta_star(theta).
 
-
-@functools.cache
-def _rect_beta_star() -> float:
-    return beta_star("rect").root
-
-
-def success_prob_boundary(geometry: str, beta: float) -> float:
-    """Success probability of the self-similar boundary with area parameter beta.
-
-    Rectangular geometry uses the hyperbolic boundary b(t) = beta/(1-t); the
-    triangular one uses the linear boundary b(t) = t + sqrt(2 beta).  The value
-    is D + (J - D) * P(jump passage) and is maximized at beta_star(geometry).
+    The rectangular geometry (theta = 1) has the hyperbolic boundary
+    b(t) = beta/(1-t); the triangular one (theta = 1/2) the linear boundary
+    b(t) = t + sqrt(2 beta).
     """
-    theta = _box(geometry)[0]
-    if beta <= 0:
+    _check_theta(theta)
+    if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
-    return _boundary_value(theta, beta)
+    j, d = jump_success(theta, beta), drift_success(theta, beta)
+    return d + (j - d) * _passage(theta, beta)
 
 
 def samuels_value() -> float:
     """Limit value of the full-information minimum game:
-    e^{-b} + (e^b - 1 - b) E1(b) at b = beta_star('rect')."""
+    e^{-b} + (e^b - 1 - b) E1(b) at b = beta_star(1)."""
     return gm_limit_finite_T(math.inf)
 
 
 def gm_limit_finite_T(T: float) -> float:
     """Finite-horizon variant of samuels_value: the exponential integral is
-    truncated at T.  Defined for T >= beta_star('rect')."""
-    b = _rect_beta_star()
+    truncated at T.  Defined for T >= beta_star(1)."""
+    b = beta_star(1.0).root
     if T < b:
         raise DomainError(f"T must be >= {b:.6f}, got {T}")
     tail = expint_e1(b) - (0.0 if math.isinf(T) else expint_e1(T))
     return math.exp(-b) + (math.exp(b) - 1.0 - b) * tail
-
-
-# ---------------------------------------------------------------------------
-# beta(theta, 1) jump chain
-# ---------------------------------------------------------------------------
-
-def theta_beta_star(theta: float) -> RootReport:
-    """Optimal area parameter for the beta(theta, 1) jump chain: root of
-    drift_theta(z) = e^{-z}, for any finite theta > 0.  theta = 1 recovers the
-    rectangular geometry and theta = 1/2 the triangular one."""
-    if not 0 < theta < math.inf:
-        raise DomainError(f"theta must be positive and finite, got {theta}")
-    return _balance_root(functools.partial(_balance, theta))
 
 
 def theta_limit(theta: float) -> float:
@@ -248,10 +197,10 @@ def theta_limit(theta: float) -> float:
 
         Gamma(1-theta, b, inf) * (-b^theta + e^b theta Gamma(theta, 0, b)) + e^{-b}
 
-    at b = theta_beta_star(theta): the chain's boundary value D + (J - D) P
-    at its optimal area, where D = e^{-b}, J = theta b^{-theta} gamma(theta, b)
-    and P = b^theta e^b Gamma(1-theta, b)."""
-    return _boundary_value(theta, theta_beta_star(theta).root)
+    at b = beta_star(theta): the chain's boundary value D + (J - D) P at its
+    optimal area, where D = e^{-b}, J = theta b^{-theta} gamma(theta, b) and
+    P = b^theta e^b Gamma(1-theta, b)."""
+    return success_prob_boundary(theta, beta_star(theta).root)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +362,10 @@ def rect_limit_tail_bound(lam: float, k_max: int | None = None) -> float:
 def _auto_k_max(lam: float, tol: float) -> int:
     r = math.exp(-lam)
     # log((e^lam + 1.3) / (1 - r)) = lam + log1p(2.3 r / (1 - r))
-    k = max(8, math.ceil((lam + math.log1p(2.3 * r / -math.expm1(-lam)) - math.log(tol)) / lam))
+    estimate = (lam + math.log1p(2.3 * r / -math.expm1(-lam)) - math.log(tol)) / lam
+    if not math.isfinite(estimate):  # lam below about 5e-306
+        raise ResourceLimitError(f"level series will not reach tol={tol} at lam={lam}")
+    k = max(8, math.ceil(estimate))
     while rect_limit_tail_bound(lam, k) > tol:
         k = int(k * 1.25) + 8
         if k > MAX_LEVELS:

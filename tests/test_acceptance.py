@@ -3,7 +3,7 @@ with its measured values (run with -s or -v to see them).
 
 Criterion 5 (triangular) checks that the exact DP value v_n of the triangular
 model (step j uniform on {j..n}) decreases strictly to the Poisson-route limit
-L = success_prob_boundary("tri", beta*) = 0.703128, staying above it.  The
+L = success_prob_boundary(0.5, beta*) = 0.703128, staying above it.  The
 sample minimum is of order sqrt(n) (P(min > m) ~ exp(-m^2 / 2n)), so the
 integer lattice has mesh 1/sqrt(n) in the scaled Poisson picture and the gap
 closes like 0.43/sqrt(n): (v_n - L) * sqrt(n) is 0.4382, 0.4340 and 0.4329 at
@@ -48,10 +48,10 @@ def rectangular_sweep():
 
 def test_c01_limit_constants():
     t0 = time.time()
-    beta_rect = poisson.beta_star("rect").root
-    beta_tri = poisson.beta_star("tri").root
+    beta_rect = poisson.beta_star(1.0).root
+    beta_tri = poisson.beta_star(0.5).root
     samuels = poisson.samuels_value()
-    tri_value = poisson.success_prob_boundary("tri", beta_tri)
+    tri_value = poisson.success_prob_boundary(0.5, beta_tri)
     levels = poisson.rect_limit(1.0).total
     assert beta_rect == pytest.approx(0.804352, abs=1e-5)
     assert beta_tri == pytest.approx(0.760660, abs=1e-5)
@@ -88,12 +88,12 @@ def test_c03_general_boundary_two_levels():
 def test_c04_theta_family_consistency():
     t0 = time.time()
     half = poisson.theta_limit(0.5)
-    beta_tri = poisson.beta_star("tri").root
+    beta_tri = poisson.beta_star(0.5).root
     closed = math.exp(-beta_tri) + (
         math.exp(beta_tri) * math.sqrt(math.pi) / (2.0 * math.sqrt(beta_tri))
         * math.erf(math.sqrt(beta_tri)) - 1.0
     ) * math.sqrt(math.pi * beta_tri) * math.erfc(math.sqrt(beta_tri))
-    boundary = poisson.success_prob_boundary("tri", beta_tri)
+    boundary = poisson.success_prob_boundary(0.5, beta_tri)
     assert half == pytest.approx(closed, abs=1e-8)
     assert half == pytest.approx(boundary, abs=1e-8)
     assert closed == pytest.approx(boundary, abs=1e-8)
@@ -119,7 +119,7 @@ def test_c05_dp_convergence_triangular(triangular_sweep):
     ns = sorted(triangular_sweep)
     vals = [triangular_sweep[n] for n in ns]
     assert all(a > b for a, b in zip(vals, vals[1:])), "not strictly decreasing"
-    limit = poisson.success_prob_boundary("tri", poisson.beta_star("tri").root)
+    limit = poisson.success_prob_boundary(0.5, poisson.beta_star(0.5).root)
     assert all(v > limit for v in vals), "not above the Poisson limit"
     # The gap v_n - L closes like 0.43/sqrt(n) (v_9000 sits 0.0046 above L), so
     # no end-point bracket near L can hold; the limit of the sweep is

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stoprule import cli
 from stoprule.models import ObservationModel, ThresholdPolicy
@@ -65,12 +69,18 @@ class TestLimit:
         ("limit", "--lambda", "1000"),
         ("limit", "--lambda", "nan"),
         ("roots", "--lambda", "1000", "--kmax", "3"),
-    ], ids=["limit-1000", "limit-nan", "roots-1000"])
+        # 1 / (1 - e^{-lambda}) overflows in the level truncation estimate
+        ("limit", "--lambda", "5e-324"),
+        ("limit", "--lambda", "1e-310"),
+        ("sweep", "--target", "lambda", "--grid", "5e-324:5e-324:1"),
+    ], ids=["limit-1000", "limit-nan", "roots-1000", "limit-5e-324", "limit-1e-310",
+            "sweep-5e-324"])
     def test_lambda_where_exp_overflows_exits_1(self, capsys, args):
         code, out, err = run_cli(capsys, *args)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
 
 
 class TestRoots:
@@ -166,6 +176,21 @@ class TestValue:
         code, _, _ = run_cli(capsys, "value", "--model", *model_args, "--tables", str(path))
         assert code == 0
         assert path.read_bytes() == want.encode()
+
+    def test_lattice_wider_than_cap_exits_1(self, capsys):
+        # refused before any column of 10^8 values is allocated
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "value", "--model", "rectangular",
+                                     "--n", "10", "--k", "100000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lattice width" in err
+        assert peak < 1e6
 
     def test_over_cap_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("STOPRULE_MAX_N", "10")
@@ -418,3 +443,165 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "above cap" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: small values plus the extremes the caps must refuse
+# ---------------------------------------------------------------------------
+
+_LAMBDAS = ["5e-324", "1e-300", "nan", "inf", "-1", "0", "0.5", "1", "3", "700", "1000"]
+_THETAS = ["0", "nan", "inf", "-1", "1e-6", "0.5", "1", "3"]
+_GRIDS = ["0.5:1:0.25", "1:1:1", "2:20:9", "10:30:10", "1e9:1e9:1", "-5:5:5", "0:10:5",
+          "5e-324:5e-324:1", "0:1:0", "1:0:1", "nan:1:1", "0:inf:1", "0:1e300:1e-300",
+          "1:2", "a:b:c"]
+_POLICY_TEXTS = ["{}", "[1,2]", "not json", '{"thresholds": "12"}', '{"thresholds": ["x"]}',
+                 "[" * 10_000 + "]" * 10_000]
+
+
+@st.composite
+def fuzz_commands(draw, workdir):
+    """One argv of the stoprule CLI, with a policy file written to workdir."""
+    command = draw(st.sampled_from(
+        ["thresholds", "value", "fullinfo", "limit", "roots", "simulate", "sweep", "check"]))
+    argv = [command]
+
+    def flag(name, values):
+        if draw(st.booleans()):
+            argv.append(f"--{name}={draw(st.sampled_from(values))}")
+
+    small = [str(v) for v in range(1, 31)]
+    if command in ("thresholds", "value", "simulate"):
+        argv.append(f"--model={draw(st.sampled_from(list(cli._MODEL_FLAGS)))}")
+        n = draw(st.sampled_from([*small, "100000", "0", "-3", "x"]))
+        if draw(st.integers(0, 9)):
+            argv.append(f"--n={n}")
+        flag("k", [*small, "0", "1000000000"])
+        flag("p", ["0.3", "0", "1", "-0.5", "nan"])
+        flag("rho", ["0.5", "2", "0", "-1", "nan", "inf"])
+        flag("theta", _THETAS)
+        if command != "thresholds" and draw(st.booleans()):
+            policy = workdir / "policy.json"
+            if draw(st.booleans()):
+                length = max(1, draw(st.sampled_from([int(n) if n.isdigit() else 1, 1, 5])))
+                start = draw(st.sampled_from([-1.0, 0.0, 1.5, 7.0, 40.0]))
+                step = draw(st.sampled_from([0.0, 0.5, 1.0, -1.0]))  # -1: not monotone
+                values = [start + i * step for i in range(length - 1)]
+                policy.write_text(json.dumps({"thresholds": values + ["inf"]}))
+            else:
+                policy.write_text(draw(st.sampled_from(_POLICY_TEXTS)))
+            path = draw(st.sampled_from([policy, "optimal", workdir / "missing.json"]))
+            argv.append(f"--policy={path}")
+        if command == "value":
+            flag("tables", [str(workdir / "tables.csv")])
+        if command == "simulate":
+            # explicit-policy runs pay n * reps draws: keep them small unless
+            # the draw cap refuses them
+            n_value = int(n) if n.isdigit() else 1
+            reps = draw(st.sampled_from(["1", "1000", "20000", "1000000000000", "0", "-1"]))
+            if reps.isdigit() and int(reps) < 10**12 and n_value * int(reps) > 2_000_000:
+                reps = str(2_000_000 // n_value)
+            argv.append(f"--reps={reps}")
+            flag("seed", ["0", "7", "-1", str(2**64 - 1), str(2**64)])
+            if draw(st.booleans()):
+                argv.append("--strict-records")
+    elif command == "fullinfo":
+        flag("n", [*small, "100000", "0", "-2"])
+        flag("sweep", ["10:40:10", "1:3:1", *_GRIDS])
+    elif command == "limit":
+        flag("geometry", ["rect", "tri", "circle"])
+        flag("lambda", _LAMBDAS)
+        flag("theta", _THETAS)
+        flag("kmax", ["1", "8", "20", "10000000", "0", "-4"])
+    elif command == "roots":
+        flag("lambda", _LAMBDAS)
+        argv.append(f"--kmax={draw(st.sampled_from(['1', '20', '50', '10000000', '0', '-4']))}")
+    elif command == "sweep":
+        argv.append(f"--target={draw(st.sampled_from(['triangular', 'rectangular', 'lambda']))}")
+        argv.append(f"--grid={draw(st.sampled_from(_GRIDS))}")
+    if command != "check":
+        flag("format", ["json", "csv"])
+        flag("output", [str(workdir / "out.txt"), str(workdir / "missing" / "out.txt")])
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# Every generated command runs in well under a second or is refused by a cap,
+# so the deadline catches a command that slips past the caps.
+@settings(max_examples=300, deadline=2000)
+@given(data=st.data())
+def test_fuzz_exit_contract(fuzz_dir, data):
+    # exit 0, 1 or argparse's 2; exit 1 is one "error:" line and no stdout
+    argv = data.draw(fuzz_commands(fuzz_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected a flag
+            assert exc.code == 2
+            return
+    assert code in (0, 1)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# Commands whose exact stdout is pinned in cli_snapshot.json.  Rewrite the file
+# only with a change meant to move output: PYTHONPATH=src python tests/test_cli.py
+SNAPSHOT = Path(__file__).with_name("cli_snapshot.json")
+SNAPSHOT_COMMANDS = [
+    "limit --geometry rect",
+    "limit --geometry tri",
+    "limit --theta 0.5",
+    "limit --theta 1",
+    "limit --theta 3",
+    "limit --theta 1e-6",
+    "limit --theta 100",
+    "limit --theta 5e-324",
+    "limit --theta 1e6",
+    "limit --lambda 1",
+    "limit --lambda 0.0029",
+    "limit --lambda 700",
+    "roots --kmax 20",
+    "roots --kmax 20 --format csv",
+    "roots --lambda 0.37 --kmax 50",
+    "fullinfo --n 20",
+    "fullinfo --sweep 10:50:10 --format csv",
+    "thresholds --model triangular --n 50",
+    "thresholds --model uniform01 --n 20",
+    "thresholds --model rectangular --n 30 --k 12 --format csv",
+    "value --model rectangular --n 50 --k 50",
+    "value --model pyramid --n 50 --p 0.3",
+    "value --model triangular --n 200",
+    "simulate --model triangular --n 50 --reps 20000 --seed 3",
+    "simulate --model rectangular --n 20 --k 7 --reps 20000 --seed 11 --strict-records",
+    "sweep --target lambda --grid 0.5:1:0.25",
+    "sweep --target rectangular --grid 20:60:20",
+    "sweep --target triangular --grid 50:150:50 --format csv",
+    "check",
+]
+
+
+def _stdout_of(command: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(command.split())
+    assert code == 0, command
+    return buf.getvalue()
+
+
+def test_snapshot():
+    want = json.loads(SNAPSHOT.read_text())
+    assert list(want) == SNAPSHOT_COMMANDS
+    for command, stdout in want.items():
+        assert _stdout_of(command) == stdout, command
+
+
+if __name__ == "__main__":
+    snapshot = {command: _stdout_of(command) for command in SNAPSHOT_COMMANDS}
+    SNAPSHOT.write_text(json.dumps(snapshot, indent=1) + "\n")

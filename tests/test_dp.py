@@ -171,6 +171,17 @@ class TestSolve:
             dp.policy_value(ObservationModel.bernoulli_pyramid(51, 0.5),
                             ThresholdPolicy((math.inf,) * 51))
 
+    def test_lattice_width_cap(self, monkeypatch):
+        # x_max is k for the rectangular kind and n for the triangular one
+        monkeypatch.setattr(dp, "LATTICE_WIDTH_CAP", 12)
+        dp.solve(ObservationModel.rectangular(3, 12))
+        dp.solve(ObservationModel.triangular(12))
+        for model in (ObservationModel.rectangular(3, 13), ObservationModel.triangular(13)):
+            with pytest.raises(ResourceLimitError, match="lattice width 13"):
+                dp.solve(model)
+            with pytest.raises(ResourceLimitError, match="lattice width 13"):
+                dp.policy_value(model, ThresholdPolicy((math.inf,) * model.n))
+
     def test_consistency_gate_raises_precision_error(self, monkeypatch):
         # No jump+drift total can be within a negative tolerance of v0.
         monkeypatch.setattr(dp, "_CONSISTENCY_TOL", -1.0)

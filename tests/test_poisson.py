@@ -18,7 +18,7 @@ _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
 
 def drift_success_tri_first_form(z: float) -> float:
-    """Independent single-integral route to poisson.drift_success_tri,
+    """Independent single-integral route to poisson.drift_success(0.5, z),
     integrating the jump function along the sliding record location."""
     if z == 0.0:
         return 0.0
@@ -26,7 +26,7 @@ def drift_success_tri_first_form(z: float) -> float:
 
     def integrand(s):
         rest = (math.sqrt(z) - s / math.sqrt(2.0)) ** 2
-        return math.exp(-w * s + 0.5 * s * s) * (w - s) * poisson.jump_success_tri(rest)
+        return math.exp(-w * s + 0.5 * s * s) * (w - s) * poisson.jump_success(0.5, rest)
 
     val, _ = integrate.quad(integrand, 0.0, w, **_QUAD_OPTS)
     return val
@@ -101,7 +101,7 @@ def mpmath_theta_limit(theta: float) -> float:
         t = mpmath.mpf(theta)
         b = mpmath.findroot(
             lambda z: mpmath.quad(lambda u: mpmath.hyp1f1(1, t + 1, u), [0, z]) - 1,
-            mpmath.mpf(poisson.theta_beta_star(theta).root),
+            mpmath.mpf(poisson.beta_star(theta).root),
         )
         upper = mpmath.gammainc(1 - t, b, mpmath.inf)
         lower = mpmath.gammainc(t, 0, b)
@@ -159,34 +159,34 @@ class TestSpecialFunctions:
 
 class TestBoxFunctions:
     def test_zero_area_limits(self):
-        assert poisson.jump_success_rect(0.0) == 1.0
-        assert poisson.drift_success_rect(0.0) == 0.0
-        assert poisson.jump_success_tri(0.0) == 1.0
-        assert poisson.drift_success_tri(0.0) == 0.0
+        assert poisson.jump_success(1.0, 0.0) == 1.0
+        assert poisson.drift_success(1.0, 0.0) == 0.0
+        assert poisson.jump_success(0.5, 0.0) == 1.0
+        assert poisson.drift_success(0.5, 0.0) == 0.0
 
     def test_negative_area_rejected(self):
-        for f in (poisson.jump_success_rect, poisson.drift_success_rect,
-                  poisson.jump_success_tri, poisson.drift_success_tri):
-            with pytest.raises(DomainError):
-                f(-0.1)
+        for f in (poisson.jump_success, poisson.drift_success):
+            for theta in (1.0, 0.5):
+                with pytest.raises(DomainError):
+                    f(theta, -0.1)
 
     @pytest.mark.parametrize("z", [0.05, 0.3, 0.8, 1.7, 3.0])
     def test_rect_against_quadrature(self, z):
         j_ref, _ = integrate.quad(lambda u: math.exp(-z * u), 0.0, 1.0, epsabs=1e-14)
-        assert poisson.jump_success_rect(z) == pytest.approx(j_ref, abs=1e-13)
+        assert poisson.jump_success(1.0, z) == pytest.approx(j_ref, abs=1e-13)
         d_ref, _ = integrate.quad(
-            lambda s: math.exp(-s) * poisson.jump_success_rect(z - s), 0.0, z, epsabs=1e-13
+            lambda s: math.exp(-s) * poisson.jump_success(1.0, z - s), 0.0, z, epsabs=1e-13
         )
-        assert poisson.drift_success_rect(z) == pytest.approx(d_ref, abs=1e-11)
+        assert poisson.drift_success(1.0, z) == pytest.approx(d_ref, abs=1e-11)
 
     @pytest.mark.parametrize("z", [0.05, 0.3, 0.8, 1.7, 3.0])
     def test_tri_jump_against_quadrature(self, z):
         j_ref, _ = integrate.quad(lambda u: math.exp(-z * u * u), 0.0, 1.0, epsabs=1e-14)
-        assert poisson.jump_success_tri(z) == pytest.approx(j_ref, abs=1e-13)
+        assert poisson.jump_success(0.5, z) == pytest.approx(j_ref, abs=1e-13)
 
     @pytest.mark.parametrize("z", [0.1, 0.4, 0.76, 1.3, 2.5])
     def test_tri_drift_three_routes(self, z):
-        one_d = poisson.drift_success_tri(z)
+        one_d = poisson.drift_success(0.5, z)
         # independent single-integral route along the sliding record location
         first_form = drift_success_tri_first_form(z)
         assert one_d == pytest.approx(first_form, abs=1e-10)
@@ -210,75 +210,69 @@ class TestBoxFunctions:
             pass_rect = zm * mpmath.exp(zm) * mpmath.e1(zm)
             pass_tri = mpmath.sqrt(mpmath.pi * zm) * mpmath.exp(zm) * mpmath.erfc(rz)
             want = {
-                "rect": (drift_rect, drift_rect + (jump_rect - drift_rect) * pass_rect),
-                "tri": (drift_tri, drift_tri + (jump_tri - drift_tri) * pass_tri),
+                1.0: (drift_rect, drift_rect + (jump_rect - drift_rect) * pass_rect),
+                0.5: (drift_tri, drift_tri + (jump_tri - drift_tri) * pass_tri),
             }
-        for geom, drift in (("rect", poisson.drift_success_rect),
-                            ("tri", poisson.drift_success_tri)):
-            d, v = (float(x) for x in want[geom])
-            assert drift(z) == pytest.approx(d, rel=1e-14, abs=0)
-            assert poisson.success_prob_boundary(geom, z) == pytest.approx(v, rel=1e-13, abs=0)
+        for theta in (1.0, 0.5):
+            d, v = (float(x) for x in want[theta])
+            assert poisson.drift_success(theta, z) == pytest.approx(d, rel=1e-14, abs=0)
+            assert poisson.success_prob_boundary(theta, z) == pytest.approx(v, rel=1e-13, abs=0)
 
     def test_ordering_drift_below_jump_near_optimum(self):
         # drift < jump holds on the region containing the optimal area
         # (crossings sit near z = 1.50 rect / z = 1.90 tri, beyond which
         # waiting for the next arrival beats a uniformly placed record)
         for z in np.linspace(0.01, 1.4, 30):
-            j, d = poisson.jump_success_rect(z), poisson.drift_success_rect(z)
+            j, d = poisson.jump_success(1.0, z), poisson.drift_success(1.0, z)
             assert 0.0 < d < j < 1.0
-            j, d = poisson.jump_success_tri(z), poisson.drift_success_tri(z)
+            j, d = poisson.jump_success(0.5, z), poisson.drift_success(0.5, z)
             assert 0.0 < d < j < 1.0
-        assert poisson.drift_success_rect(5.0) > poisson.jump_success_rect(5.0)
-        assert poisson.drift_success_tri(5.0) > poisson.jump_success_tri(5.0)
+        assert poisson.drift_success(1.0, 5.0) > poisson.jump_success(1.0, 5.0)
+        assert poisson.drift_success(0.5, 5.0) > poisson.jump_success(0.5, 5.0)
 
 
 class TestBetaStar:
     def test_rect_value(self):
-        rep = poisson.beta_star("rect")
+        rep = poisson.beta_star(1.0)
         assert rep.root == pytest.approx(0.804352, abs=1e-5)
         assert abs(rep.residual) <= 1e-12
         assert rep.bracket[0] <= rep.root <= rep.bracket[1]
         assert rep.iterations > 0
 
     def test_tri_value(self):
-        rep = poisson.beta_star("tri")
+        rep = poisson.beta_star(0.5)
         assert rep.root == pytest.approx(0.760660, abs=1e-5)
         assert abs(rep.residual) <= 1e-12
 
     def test_balance_equation(self):
-        for geom, drift in (("rect", poisson.drift_success_rect),
-                            ("tri", poisson.drift_success_tri)):
-            b = poisson.beta_star(geom).root
-            assert drift(b) == pytest.approx(math.exp(-b), abs=1e-12)
+        for theta in (1.0, 0.5):
+            b = poisson.beta_star(theta).root
+            assert poisson.drift_success(theta, b) == pytest.approx(math.exp(-b), abs=1e-12)
 
     def test_local_maximum(self):
-        for geom in ("rect", "tri"):
-            b = poisson.beta_star(geom).root
-            peak = poisson.success_prob_boundary(geom, b)
-            assert poisson.success_prob_boundary(geom, b - 1e-4) <= peak
-            assert poisson.success_prob_boundary(geom, b + 1e-4) <= peak
+        for theta in (1.0, 0.5):
+            b = poisson.beta_star(theta).root
+            peak = poisson.success_prob_boundary(theta, b)
+            assert poisson.success_prob_boundary(theta, b - 1e-4) <= peak
+            assert poisson.success_prob_boundary(theta, b + 1e-4) <= peak
 
     def test_maximum_over_log_grid(self):
-        for geom in ("rect", "tri"):
-            b = poisson.beta_star(geom).root
-            peak = poisson.success_prob_boundary(geom, b)
+        for theta in (1.0, 0.5):
+            b = poisson.beta_star(theta).root
+            peak = poisson.success_prob_boundary(theta, b)
             for beta in np.geomspace(0.01, 10.0, 120):
-                assert poisson.success_prob_boundary(geom, float(beta)) <= peak + 1e-12
-
-    def test_bad_geometry(self):
-        with pytest.raises(DomainError):
-            poisson.beta_star("hex")
+                assert poisson.success_prob_boundary(theta, float(beta)) <= peak + 1e-12
 
     def test_rect_path_bits(self):
         # the balance series at theta = 1 repeats the float operations of the
         # rectangular series it replaced, so these bits must not move
-        assert poisson.beta_star("rect").root == 0.8043522628456377
+        assert poisson.beta_star(1.0).root == 0.8043522628456377
         assert poisson.samuels_value() == 0.5801642239208553
-        assert poisson.drift_success_rect(0.8) == 0.4463294392423774
+        assert poisson.drift_success(1.0, 0.8) == 0.4463294392423774
 
     def test_tri_against_40_digit_root(self):
         # root of int_0^z 1F1(1; 3/2; u) du = 1 by mpmath at 40 digits
-        assert poisson.beta_star("tri").root == pytest.approx(0.76066049640683363763, abs=2e-16)
+        assert poisson.beta_star(0.5).root == pytest.approx(0.76066049640683363763, abs=2e-16)
 
 
 class TestBoundaryValues:
@@ -286,31 +280,32 @@ class TestBoundaryValues:
         assert poisson.samuels_value() == pytest.approx(0.580164, abs=1e-6)
 
     def test_rect_boundary_at_optimum_is_samuels(self):
-        b = poisson.beta_star("rect").root
-        assert poisson.success_prob_boundary("rect", b) == pytest.approx(
+        b = poisson.beta_star(1.0).root
+        assert poisson.success_prob_boundary(1.0, b) == pytest.approx(
             poisson.samuels_value(), abs=1e-12
         )
 
     def test_tri_boundary_at_optimum(self):
-        b = poisson.beta_star("tri").root
-        assert poisson.success_prob_boundary("tri", b) == pytest.approx(0.703128, abs=1e-5)
+        b = poisson.beta_star(0.5).root
+        assert poisson.success_prob_boundary(0.5, b) == pytest.approx(0.703128, abs=1e-5)
 
     def test_small_beta_vanishes(self):
-        assert poisson.success_prob_boundary("rect", 1e-6) < 1e-4
-        with pytest.raises(DomainError):
-            poisson.success_prob_boundary("rect", 0.0)
+        assert poisson.success_prob_boundary(1.0, 1e-6) < 1e-4
+        for beta in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                poisson.success_prob_boundary(1.0, beta)
 
     @pytest.mark.parametrize("beta", [1e-300, 1e-100, 1e-12, 1e-8, 1e-3, 0.5, 2.0,
                                       40.0, 49.9, 60.0, 300.0])
     def test_against_mpmath(self, beta):
         # both sides of _LARGE_AREA, and areas small enough that the passage
         # term carries the value
-        for geom, theta in (("rect", 1.0), ("tri", 0.5)):
-            assert poisson.success_prob_boundary(geom, beta) == pytest.approx(
+        for theta in (1.0, 0.5):
+            assert poisson.success_prob_boundary(theta, beta) == pytest.approx(
                 mpmath_boundary_value(theta, beta), rel=1e-13, abs=0)
 
     def test_finite_horizon_variant(self):
-        b = poisson.beta_star("rect").root
+        b = poisson.beta_star(1.0).root
         assert poisson.gm_limit_finite_T(b) == pytest.approx(math.exp(-b), abs=1e-14)
         assert poisson.gm_limit_finite_T(50.0) == pytest.approx(
             poisson.samuels_value(), abs=1e-9
@@ -328,13 +323,14 @@ class TestBoundaryValues:
 
 class TestThetaFamily:
     def test_anchor_theta_one(self):
-        rep = poisson.theta_beta_star(1.0)
-        assert rep.root == pytest.approx(poisson.beta_star("rect").root, abs=1e-9)
+        rep = poisson.beta_star(1.0)
+        b_rect = poisson.beta_star(poisson.GEOMETRIES["rect"]).root
+        assert rep.root == pytest.approx(b_rect, abs=1e-9)
         assert poisson.theta_limit(1.0) == pytest.approx(poisson.samuels_value(), abs=1e-6)
 
     def test_anchor_theta_half(self):
-        rep = poisson.theta_beta_star(0.5)
-        b_tri = poisson.beta_star("tri").root
+        rep = poisson.beta_star(0.5)
+        b_tri = poisson.beta_star(poisson.GEOMETRIES["tri"]).root
         assert rep.root == pytest.approx(b_tri, abs=1e-9)
         value = poisson.theta_limit(0.5)
         # erf/erfc closed form of the triangular optimum
@@ -344,7 +340,7 @@ class TestThetaFamily:
         ) * math.sqrt(math.pi * b_tri) * math.erfc(math.sqrt(b_tri))
         assert value == pytest.approx(closed, abs=1e-10)
         assert value == pytest.approx(
-            poisson.success_prob_boundary("tri", b_tri), abs=1e-8
+            poisson.success_prob_boundary(0.5, b_tri), abs=1e-8
         )
         # the gamma-function route evaluated directly at theta = 1/2
         direct = (
@@ -359,7 +355,9 @@ class TestThetaFamily:
             poisson.theta_limit(0.0)
         for theta in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
-                poisson.theta_beta_star(theta)
+                poisson.beta_star(theta)
+            with pytest.raises(DomainError):
+                poisson.success_prob_boundary(theta, 0.8)
 
     @pytest.mark.parametrize("theta", [1e-6, 0.01, 0.5, 1.0, 2.0, 3.0, 50.0, 100.0, 1000.0])
     def test_limit_against_mpmath(self, theta):
@@ -368,7 +366,7 @@ class TestThetaFamily:
     def test_limit_at_the_ends(self):
         # theta -> 0: b -> ln 2 and the value -> 1; theta -> inf: b -> 1 and
         # the value -> e^{-1}
-        assert poisson.theta_beta_star(5e-324).root == pytest.approx(math.log(2.0), abs=1e-15)
+        assert poisson.beta_star(5e-324).root == pytest.approx(math.log(2.0), abs=1e-15)
         assert poisson.theta_limit(5e-324) == pytest.approx(1.0, abs=1e-15)
         assert poisson.theta_limit(1e6) == pytest.approx(math.exp(-1.0), abs=1e-6)
 
@@ -546,6 +544,12 @@ class TestRectLimit:
             poisson.rect_limit(5e-6)
         with pytest.raises(ResourceLimitError):
             poisson.rect_roots(poisson.MAX_LEVELS + 1)
+        # below about 5e-306 the first truncation estimate is infinite
+        for lam in (5e-324, 1e-310, 1e-307, 4e-306, 1e-305):
+            with pytest.raises(ResourceLimitError, match="will not reach"):
+                poisson.rect_limit(lam)
+            with pytest.raises(ResourceLimitError, match="will not reach"):
+                poisson.rect_limit_tail_bound(lam)
 
 
 class TestGeneralBoundary:
