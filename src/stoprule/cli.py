@@ -148,7 +148,7 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_fullinfo(args) -> int:
-    if args.sweep:
+    if args.sweep is not None:
         ns = [int(round(v)) for v in _parse_grid(args.sweep)]
         rows = [(n, fullinfo.sakaguchi_value(n)) for n in ns]
         payload = {"sweep": [{"n": n, "v_bar": v} for n, v in rows]}
@@ -244,16 +244,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_SWEEP_GRIDS = {"lambda": "0.01:1:0.01", "triangular": "100:9000:100",
+                "rectangular": "100:2000:100"}
+
+
 def _cmd_sweep(args) -> int:
+    grid = _parse_grid(_SWEEP_GRIDS[args.target] if args.grid is None else args.grid)
     if args.target == "lambda":
-        grid = _parse_grid(args.grid or "0.01:1:0.01")
         rows = [(lam, poisson.rect_limit(lam).total) for lam in grid]
         header = ("lambda", "value")
     else:
-        default = "100:9000:100" if args.target == "triangular" else "100:2000:100"
-        grid = [int(round(v)) for v in _parse_grid(args.grid or default)]
         rows = []
-        for n in grid:
+        for n in (int(round(v)) for v in grid):
             model = (ObservationModel.triangular(n) if args.target == "triangular"
                      else ObservationModel.rectangular(n, n))
             rows.append((n, dp.solve(model).decomposition.total))

@@ -27,6 +27,7 @@ from .models import (
     UnsupportedModelError,
     check_step_cap,
 )
+from .poisson import level_sum
 
 __all__ = [
     "gm_optimal_thresholds",
@@ -37,17 +38,10 @@ __all__ = [
 ]
 
 
-def _threshold_equation(m: int, x: float) -> float:
-    """sum_{i=1}^m ((1-x)^{-i} - 1)/i - 1; the step threshold with m
-    observations still to come is its root in (0, 1)."""
-    lnq = math.log1p(-x)
-    i = np.arange(1, m + 1, dtype=float)
-    return float(np.sum(np.expm1(-i * lnq) / i)) - 1.0
-
-
-# Roots cached by horizon distance m; index 0 unused.  The brackets shrink
-# with m (the root sequence is strictly decreasing), so evaluations never
-# leave the overflow-safe region.
+# Roots cached by horizon distance m; index 0 unused.  Root m solves the level
+# equation from i = 1 at z = 1/(1 - x).  The brackets shrink with m (the root
+# sequence is strictly decreasing), so evaluations never leave the
+# overflow-safe region.
 _ROOTS: list[float] = [math.nan, 0.5]
 
 
@@ -55,7 +49,7 @@ def _threshold_roots(m_max: int) -> np.ndarray:
     while len(_ROOTS) <= m_max:
         m = len(_ROOTS)
         root = optimize.brentq(
-            lambda x: _threshold_equation(m, x),
+            lambda x: level_sum(m, -math.log1p(-x)) - 1.0,
             1e-17, _ROOTS[m - 1],
             xtol=1e-16, rtol=4 * np.finfo(float).eps, maxiter=200,
         )
@@ -84,6 +78,11 @@ def _check_gm_thresholds(n: int, b: np.ndarray):
         raise InvalidPolicyError("thresholds must be nondecreasing")
 
 
+def _power_sums(lnq: np.ndarray, n: int) -> np.ndarray:
+    """S_k = sum_{i<=k} (1-b_i)^k for k = 1..n-1, from lnq_i = ln(1 - b_i)."""
+    return np.array([np.sum(np.exp(k * lnq[:k])) for k in range(1, n)])
+
+
 def gm_success(n: int, b) -> Decomposition:
     """Success probability of the rule "stop at the first record <= b_j",
     for arbitrary nondecreasing thresholds in [0, 1]:
@@ -98,30 +97,22 @@ def gm_success(n: int, b) -> Decomposition:
     b = np.asarray(b, dtype=float)
     _check_gm_thresholds(n, b)
     check_step_cap(n)
-    q = 1.0 - b
     with np.errstate(divide="ignore"):
-        lnq = np.log(q)  # -inf where b == 1; exp(j * -inf) = 0 below
+        lnq = np.log(1.0 - b)  # -inf where b == 1; exp(j * -inf) = 0 below
     qn = np.exp(n * lnq)
     jump = (1.0 - math.fsum(qn)) / n
-    drift_terms = []
-    for j in range(1, n):
-        s1 = float(np.sum(np.exp(j * lnq[:j])))
-        sn = float(np.sum(qn[:j]))
-        drift_terms.append(s1 / (j * (n - j)) - sn / (n * (n - j)))
-    return Decomposition(jump, math.fsum(drift_terms))
+    j = np.arange(1, n)
+    sn = np.array([np.sum(qn[:k]) for k in range(1, n)])
+    drift = _power_sums(lnq, n) / (j * (n - j)) - sn / (n * (n - j))
+    return Decomposition(jump, math.fsum(drift))
 
 
 def sakaguchi_value(n: int) -> float:
     """Optimal success probability for n iid uniform-[0,1] observations:
-    (1/n) (1 + sum_{j<n} sum_{k=j}^{n-1} (1-b_j)^k / k)."""
-    if n == 1:
-        return 1.0
+    (1/n) (1 + sum_{k<n} S_k/k), S_k = sum_{i<=k} (1-b_i)^k at the optimal b."""
     b = np.asarray(gm_optimal_thresholds(n).thresholds)
-    q = 1.0 - b[: n - 1]
-    lnq = np.log(q)
-    ks = np.arange(1, n, dtype=float)
-    terms = [float(np.sum(np.exp(ks[j - 1:] * lnq[j - 1]) / ks[j - 1:])) for j in range(1, n)]
-    return (1.0 + math.fsum(terms)) / n
+    s = _power_sums(np.log(1.0 - b[: n - 1]), n)
+    return (1.0 + math.fsum(s / np.arange(1, n))) / n
 
 
 def tie_probability(model: ObservationModel) -> float:

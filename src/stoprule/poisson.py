@@ -45,6 +45,7 @@ __all__ = [
     "gm_limit_finite_T",
     "theta_limit",
     "BoundaryLadder",
+    "level_sum",
     "ladder_residual",
     "rect_roots",
     "rect_limit",
@@ -233,18 +234,26 @@ class BoundaryLadder:
         return float(self.cutoffs[k])
 
 
+def level_sum(k: int, lnz: float, first: int = 1) -> float:
+    """sum_{j=first}^k (z^j - 1)/j at ln z = lnz; expm1 keeps z ~ 1 exact.  The
+    level equation level_sum = 1 gives the level-k root with first = 2 and,
+    at z = 1/(1 - b), the full-information threshold with first = 1."""
+    _check_levels(k)
+    js = np.arange(first, k + 1, dtype=float)
+    return float(np.sum(np.expm1(js * lnz) / js))
+
+
 def ladder_residual(k: int, z: float) -> float:
     """sum_{j=2}^k z^j/j - sum_{j=1}^k 1/j; the level-k root is its zero."""
     if k < 2:
         raise DomainError("the level equation starts at k = 2")
-    js = np.arange(2, k + 1, dtype=float)
-    # (z^j - 1)/j summed equals the residual + 1 shifted; expm1 keeps z ~ 1 exact.
-    lnz = math.log(z)
-    return float(np.sum(np.expm1(js * lnz) / js)) - 1.0
+    return level_sum(k, math.log(z), 2) - 1.0
 
 
 # Largest truncation the level series will build (8 bytes of roots per level).
 MAX_LEVELS = 5_000_000
+# Most cutoffs rect_general_boundary takes: its double sum is O(K^2).
+MAX_BOUNDARY_LEVELS = 20_000
 # Default bound on the level-series mass dropped by truncation.
 _TAIL_TOL = 1e-10
 # Intensities at or above this overflow e^lam.
@@ -373,25 +382,6 @@ def _auto_k_max(lam: float, tol: float) -> int:
     return k
 
 
-def _jump_series_double(zlam: np.ndarray, lam: float, k_max: int) -> float:
-    """Jump series sum_k e^{-lam k} sum_{j<=k} (z_k^j - z_{k+1}^j)/j, in O(k_max²).
-
-    Kept for arbitrary cutoffs, where k ln z_k is unbounded and the moment
-    series of _level_series does not apply.
-    """
-    pieces = []
-    lnz = np.log(zlam)
-    for k in range(1, k_max + 1):
-        a, b = lnz[k], lnz[k + 1]
-        if a == b:
-            continue
-        js = np.arange(1, k + 1, dtype=float)
-        # exponents stay <= 0: j ln z <= k lam for z <= e^lam.
-        vals = (np.exp(js * a - lam * k) - np.exp(js * b - lam * k)) / js
-        pieces.append(float(np.sum(vals)))
-    return math.fsum(pieces)
-
-
 def _level_series(u: np.ndarray, lam: float, k_max: int) -> tuple[float, float]:
     """Jump and drift series over levels 1..k_max of the optimal ladder, given
     u_k = ln z_k clamped at lam for k = 1..k_max + 1.
@@ -443,29 +433,29 @@ def rect_general_boundary(cutoffs) -> Decomposition:
     """Success probability of an arbitrary integer-level boundary at unit
     intensity, given nondecreasing cutoffs (t_1, ..., t_K) in [0, 1].
 
-    Levels above K are treated as never stoppable (t_k = 1 for k > K).
+    Levels above K are treated as never stoppable (t_k = 1 for k > K).  Level k
+    adds sum_{j<=k} e^{-k} (e^{j a_k} - e^{j a_{k+1}})/j to the jump and
+    (e^{t_k} - 1) sum_{j<=k} e^{-k} (e^{j a_k} - 1)/j to the drift, a_k = 1 - t_k.
     """
     t = np.asarray(cutoffs, dtype=float)
     if t.ndim != 1 or len(t) < 1:
         raise InvalidPolicyError("cutoffs must be a nonempty 1-D sequence")
+    if len(t) > MAX_BOUNDARY_LEVELS:
+        raise ResourceLimitError(f"{len(t)} cutoffs exceed the cap of {MAX_BOUNDARY_LEVELS}")
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise InvalidPolicyError("cutoffs must lie in [0, 1]")
     if np.any(np.diff(t) < 0.0):
         raise InvalidPolicyError("cutoffs must be nondecreasing")
-    kk = len(t)
-    z = np.empty(kk + 2)
-    z[0] = math.nan
-    z[1 : kk + 1] = np.exp(1.0 - t)
-    z[kk + 1] = 1.0
-    jump = _jump_series_double(z, 1.0, kk)
-    drift_terms = []
-    for k in range(1, kk + 1):
-        tk = t[k - 1]
-        if tk >= 1.0:
-            continue
+    a = np.append(1.0 - t, 0.0)
+    jump, drift = [], []
+    # levels with t_k = 1, and all above them, add nothing
+    for k in range(1, int(np.count_nonzero(a)) + 1):
         js = np.arange(1, k + 1, dtype=float)
-        a = js * (1.0 - tk)
-        # e^{-k} expm1(a) = e^{a - k} (-expm1(-a)); a - k <= 0, so no term overflows.
-        inner = float(np.sum(np.exp(a - k) * -np.expm1(-a) / js))
-        drift_terms.append(math.expm1(tk) * inner)
-    return Decomposition(jump, math.fsum(drift_terms))
+        # exponents stay <= 0: j a_k <= k, so no term overflows.
+        e_k = np.exp(js * a[k - 1] - k)
+        if a[k - 1] != a[k]:
+            jump.append(float(np.sum((e_k - np.exp(js * a[k] - k)) / js)))
+        # e^{-k} expm1(j a_k) = e^{j a_k - k} (-expm1(-j a_k))
+        inner = float(np.sum(e_k * -np.expm1(-js * a[k - 1]) / js))
+        drift.append(math.expm1(t[k - 1]) * inner)
+    return Decomposition(math.fsum(jump), math.fsum(drift))

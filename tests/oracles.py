@@ -5,6 +5,8 @@ ObservationModel.atoms, as dp.brute_force_oracle does, and enumerate every
 outcome tuple, so they are meant for models with at most about 10^6 tuples.
 simulate_oracle is the whole-block Monte Carlo scan that mc.simulate
 replaced with chunked, threaded scans; it must give the same SimResult.
+jump_series_double is the O(k_max^2) jump series of the integer-level limit
+that the moment series of poisson._level_series replaced.
 """
 
 import itertools
@@ -87,3 +89,18 @@ def simulate_oracle(config, block_target=4_000_000):
         mean_stop_std_error=math.sqrt(var_tau / reps) / n,
         replications=reps,
     )
+
+
+def jump_series_double(zlam: np.ndarray, lam: float, k_max: int) -> float:
+    """Jump series sum_k e^{-lam k} sum_{j<=k} (z_k^j - z_{k+1}^j)/j, in O(k_max²)."""
+    pieces = []
+    lnz = np.log(zlam)
+    for k in range(1, k_max + 1):
+        a, b = lnz[k], lnz[k + 1]
+        if a == b:
+            continue
+        js = np.arange(1, k + 1, dtype=float)
+        # exponents stay <= 0: j ln z <= k lam for z <= e^lam.
+        vals = (np.exp(js * a - lam * k) - np.exp(js * b - lam * k)) / js
+        pieces.append(float(np.sum(vals)))
+    return math.fsum(pieces)

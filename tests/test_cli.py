@@ -379,7 +379,10 @@ class TestErrors:
         ("sweep", "--target", "triangular", "--grid=-inf:100:1"),
         ("sweep", "--target", "lambda", "--grid", "0:1e300:1e-300"),
         ("fullinfo", "--sweep", "1:nan:1"),
-    ], ids=["hi-inf", "hi-nan", "step-inf", "lo-inf", "count-overflow", "fullinfo-nan"])
+        ("sweep", "--target", "lambda", "--grid="),
+        ("fullinfo", "--sweep=", "--n", "3"),
+    ], ids=["hi-inf", "hi-nan", "step-inf", "lo-inf", "count-overflow", "fullinfo-nan",
+            "empty", "fullinfo-empty"])
     def test_non_finite_grid_exits_1(self, capsys, args):
         code, out, err = run_cli(capsys, *args)
         assert code == 1
@@ -453,7 +456,7 @@ _LAMBDAS = ["5e-324", "1e-300", "nan", "inf", "-1", "0", "0.5", "1", "3", "700",
 _THETAS = ["0", "nan", "inf", "-1", "1e-6", "0.5", "1", "3"]
 _GRIDS = ["0.5:1:0.25", "1:1:1", "2:20:9", "10:30:10", "1e9:1e9:1", "-5:5:5", "0:10:5",
           "5e-324:5e-324:1", "0:1:0", "1:0:1", "nan:1:1", "0:inf:1", "0:1e300:1e-300",
-          "1:2", "a:b:c"]
+          "1:2", "a:b:c", ""]
 _POLICY_TEXTS = ["{}", "[1,2]", "not json", '{"thresholds": "12"}', '{"thresholds": ["x"]}',
                  "[" * 10_000 + "]" * 10_000]
 

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from stoprule import fullinfo
+from stoprule import fullinfo, poisson
 from stoprule.models import (
     DEFAULT_MAX_N,
     DomainError,
@@ -27,7 +30,7 @@ class TestOptimalThresholds:
     def test_residuals(self, n):
         th = fullinfo.gm_optimal_thresholds(n)
         for j in range(1, n):
-            res = fullinfo._threshold_equation(n - j, th.thresholds[j - 1])
+            res = poisson.level_sum(n - j, -math.log1p(-th.thresholds[j - 1])) - 1.0
             assert abs(res) <= 1e-12
 
     def test_nondecreasing_up_to_1000(self):
@@ -110,6 +113,31 @@ class TestGmSuccess:
             b = np.sort(rng.uniform(0.0, 1.0, n))
             d = fullinfo.gm_success(n, b)
             assert -1e-12 <= d.total <= 1.0 + 1e-12
+
+
+PIN_FILE = Path(__file__).with_name("fullinfo_pins.json")
+
+
+def pin_record():
+    """What tests/fullinfo_pins.json holds: the sha256 of the float64
+    thresholds of gm_optimal_thresholds(3000) and the bits of gm_success at
+    the optimal thresholds of n = 2000 and at sorted random ones of n = 300
+    (some equal to 1).  The file was written by this function while the
+    threshold equation and the power sums still had their own copies in
+    fullinfo, so it pins the outputs of those copies."""
+    b = np.asarray(fullinfo.gm_optimal_thresholds(3000).thresholds, dtype=np.float64)
+    rand = np.sort(np.minimum(np.random.default_rng(1).uniform(0.0, 1.2, 300), 1.0))
+    record = {"gm_optimal_thresholds/3000": hashlib.sha256(b.tobytes()).hexdigest()}
+    for name, n, t in (("optimal", 2000, fullinfo.gm_optimal_thresholds(2000).thresholds),
+                       ("random", 300, rand)):
+        d = fullinfo.gm_success(n, t)
+        record[f"gm_success/{n}/{name}"] = {"jump": d.jump.hex(), "drift": d.drift.hex()}
+    return record
+
+
+def test_pinned_outputs():
+    # bit-identical thresholds, jump and drift
+    assert pin_record() == json.loads(PIN_FILE.read_text())
 
 
 class TestSakaguchi:

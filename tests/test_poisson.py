@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
+from oracles import jump_series_double
 from stoprule import poisson
 from stoprule.models import (
     DomainError,
@@ -431,6 +432,38 @@ class TestLadder:
             poisson.ladder_residual(1, 2.0)
 
 
+class TestLevelSum:
+    @pytest.mark.parametrize("k", [1, 2, 50, 10**4])
+    @pytest.mark.parametrize("lnz", [1e-12, 1e-4, 0.3, math.log(3.0)])
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_matches_mpmath(self, first, lnz, k):
+        # the float lnz is exact in mpmath, so only the products j lnz, the
+        # expm1 and the sum round: a few ulps, times j lnz once e^{j lnz} grows
+        with mpmath.workdps(30):
+            x = mpmath.mpf(lnz)
+            want = mpmath.fsum(mpmath.expm1(j * x) / j for j in range(first, k + 1))
+        if want > np.finfo(float).max:
+            with np.errstate(over="ignore"):
+                assert poisson.level_sum(k, lnz, first) == math.inf
+        else:
+            rel = 8 * np.finfo(float).eps * max(1.0, k * lnz)
+            assert poisson.level_sum(k, lnz, first) == pytest.approx(float(want), rel=rel, abs=0)
+
+    def test_level_cap(self, monkeypatch):
+        # refused before the O(k) array of levels is built
+        with pytest.raises(ResourceLimitError):
+            poisson.ladder_residual(10**10, 1.5)
+        with pytest.raises(ResourceLimitError):
+            poisson.level_sum(poisson.MAX_LEVELS + 1, 0.1)
+        monkeypatch.setattr(poisson, "MAX_LEVELS", 10)
+        assert poisson.level_sum(10, 0.1) > 0.0
+        assert math.isfinite(poisson.ladder_residual(10, 1.1))
+        with pytest.raises(ResourceLimitError):
+            poisson.level_sum(11, 0.1)
+        with pytest.raises(ResourceLimitError):
+            poisson.ladder_residual(11, 1.1)
+
+
 class TestRectLimit:
     def test_unit_intensity_value(self):
         d = poisson.rect_limit(1.0)
@@ -441,7 +474,7 @@ class TestRectLimit:
         k_max = poisson._auto_k_max(1.0, 1e-10)
         z = np.minimum(np.exp(poisson._log_roots(k_max + 1)), math.e)
         simplified = jump_series_simplified(z, k_max)
-        double = poisson._jump_series_double(z, 1.0, k_max)
+        double = jump_series_double(z, 1.0, k_max)
         assert simplified == pytest.approx(double, abs=1e-10)
 
     @pytest.mark.parametrize("lam", [0.003, 0.05, 1.0, 2.0, 5.0])
@@ -449,7 +482,7 @@ class TestRectLimit:
         k_max = poisson._auto_k_max(lam, 1e-10)
         u = np.minimum(poisson._log_roots(k_max + 1), lam)
         jump, _ = poisson._level_series(u, lam, k_max)
-        assert jump == pytest.approx(poisson._jump_series_double(np.exp(u), lam, k_max), abs=1e-13)
+        assert jump == pytest.approx(jump_series_double(np.exp(u), lam, k_max), abs=1e-13)
 
     def test_closed_series_total(self):
         # telescoped total with explicit constants
@@ -593,6 +626,15 @@ class TestGeneralBoundary:
             t = np.sort(rng.uniform(0.0, 1.0, 12))
             t[0] = 0.0
             assert poisson.rect_general_boundary(t).total <= best + 1e-9
+
+    def test_level_cap(self, monkeypatch):
+        # the double sum is O(K^2), so a long cutoff list is refused up front
+        with pytest.raises(ResourceLimitError):
+            poisson.rect_general_boundary(np.zeros(poisson.MAX_BOUNDARY_LEVELS + 1))
+        monkeypatch.setattr(poisson, "MAX_BOUNDARY_LEVELS", 5)
+        assert poisson.rect_general_boundary(np.zeros(5)).total > 0.0
+        with pytest.raises(ResourceLimitError):
+            poisson.rect_general_boundary(np.zeros(6))
 
     def test_validation(self):
         with pytest.raises(InvalidPolicyError):
