@@ -46,7 +46,6 @@ __all__ = [
     "theta_limit",
     "BoundaryLadder",
     "level_sum",
-    "ladder_residual",
     "rect_roots",
     "rect_limit",
     "rect_limit_tail_bound",
@@ -234,20 +233,13 @@ class BoundaryLadder:
         return float(self.cutoffs[k])
 
 
-def level_sum(k: int, lnz: float, first: int = 1) -> float:
-    """sum_{j=first}^k (z^j - 1)/j at ln z = lnz; expm1 keeps z ~ 1 exact.  The
-    level equation level_sum = 1 gives the level-k root with first = 2 and,
-    at z = 1/(1 - b), the full-information threshold with first = 1."""
+def level_sum(k: int, lnz: float) -> float:
+    """sum_{j=1}^k (z^j - 1)/j at ln z = lnz; expm1 keeps z ~ 1 exact.  At
+    z = 1/(1 - b), level_sum = 1 is the full-information threshold equation;
+    the level-k root of the ladder solves level_sum = z (the sum from j = 2 is 1)."""
     _check_levels(k)
-    js = np.arange(first, k + 1, dtype=float)
+    js = np.arange(1, k + 1, dtype=float)
     return float(np.sum(np.expm1(js * lnz) / js))
-
-
-def ladder_residual(k: int, z: float) -> float:
-    """sum_{j=2}^k z^j/j - sum_{j=1}^k 1/j; the level-k root is its zero."""
-    if k < 2:
-        raise DomainError("the level equation starts at k = 2")
-    return level_sum(k, math.log(z), 2) - 1.0
 
 
 # Largest truncation the level series will build (8 bytes of roots per level).
@@ -442,7 +434,7 @@ def rect_general_boundary(cutoffs) -> Decomposition:
         raise InvalidPolicyError("cutoffs must be a nonempty 1-D sequence")
     if len(t) > MAX_BOUNDARY_LEVELS:
         raise ResourceLimitError(f"{len(t)} cutoffs exceed the cap of {MAX_BOUNDARY_LEVELS}")
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
         raise InvalidPolicyError("cutoffs must lie in [0, 1]")
     if np.any(np.diff(t) < 0.0):
         raise InvalidPolicyError("cutoffs must be nondecreasing")

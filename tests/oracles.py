@@ -6,7 +6,8 @@ outcome tuple, so they are meant for models with at most about 10^6 tuples.
 simulate_oracle is the whole-block Monte Carlo scan that mc.simulate
 replaced with chunked, threaded scans; it must give the same SimResult.
 jump_series_double is the O(k_max^2) jump series of the integer-level limit
-that the moment series of poisson._level_series replaced.
+that the moment series of poisson._level_series replaced. ladder_residual is
+the level equation of one root, which the brentq ladder of the tests solves.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from stoprule import mc
-from stoprule.models import ThresholdPolicy
+from stoprule.models import DomainError, ThresholdPolicy
 
 
 def enumerate_outcomes(model):
@@ -104,3 +105,13 @@ def jump_series_double(zlam: np.ndarray, lam: float, k_max: int) -> float:
         vals = (np.exp(js * a - lam * k) - np.exp(js * b - lam * k)) / js
         pieces.append(float(np.sum(vals)))
     return math.fsum(pieces)
+
+
+def ladder_residual(k: int, z: float) -> float:
+    """sum_{j=2}^k z^j/j - sum_{j=1}^k 1/j; the level-k root is its zero."""
+    if k < 2:
+        raise DomainError("the level equation starts at k = 2")
+    js = np.arange(2, k + 1, dtype=float)
+    # (z^j - 1)/j summed equals the residual + 1 shifted; expm1 keeps z ~ 1 exact.
+    lnz = math.log(z)
+    return float(np.sum(np.expm1(js * lnz) / js)) - 1.0
