@@ -638,4 +638,6 @@ class TestGeneralBoundary:
         with pytest.raises(InvalidPolicyError):
             poisson.rect_general_boundary([0.5, 1.0, math.nan])
         with pytest.raises(InvalidPolicyError):
+            poisson.rect_general_boundary([1.0, 1.0, math.nan])
+        with pytest.raises(InvalidPolicyError):
             poisson.rect_general_boundary([])
