@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .models import (
     BERNOULLI_PYRAMID,
@@ -114,6 +113,7 @@ class _TriLattice:
     """X_j uniform on {j, ..., n}; reachable record states j <= x <= n."""
 
     def __init__(self, n: int):
+        from scipy.special import gammaln
         self.n = n
         self._lg = gammaln(np.arange(n + 3, dtype=float))
         x = np.arange(n + 1)

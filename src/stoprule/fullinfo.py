@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from .models import (
     IID_UNIFORM01,
@@ -46,6 +45,7 @@ _ROOTS: list[float] = [math.nan, 0.5]
 
 
 def _threshold_roots(m_max: int) -> np.ndarray:
+    from scipy import optimize
     while len(_ROOTS) <= m_max:
         m = len(_ROOTS)
         root = optimize.brentq(

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .models import (
     Decomposition,
@@ -65,6 +64,7 @@ def expint_e1(x: float) -> float:
     """Exponential integral E1(x) = int_x^inf e^{-s}/s ds for x > 0."""
     if x <= 0:
         raise DomainError(f"expint_e1 requires x > 0, got {x}")
+    from scipy import special
     return float(special.exp1(x))
 
 
@@ -105,6 +105,7 @@ def jump_success(theta: float, z: float) -> float:
     the triangular one, int_0^1 e^{-z u^2} du = sqrt(pi) erf(sqrt(z))/(2 sqrt(z))."""
     if z < 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
+    from scipy import special
     return float(special.hyp1f1(theta, theta + 1.0, -z))
 
 
@@ -118,6 +119,7 @@ def drift_success(theta: float, z: float) -> float:
     if z < 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
     if z > _LARGE_AREA:
+        from scipy import integrate
         return integrate.quad(lambda y: math.exp(-y) * jump_success(theta, z - y),
                               0.0, min(z, 745.0), epsabs=0.0, epsrel=1e-12, limit=200)[0]
     return math.exp(-z) * _balance(theta, z)
@@ -129,6 +131,7 @@ def _passage(theta: float, beta: float) -> float:
     = int_0^inf e^{-u} (1 + u/beta)^{-theta} du, integrated in y = ln u: split
     at ln beta, where (1 + u/beta)^{-theta} bends, and cut at y = 6, past
     which the integrand is below e^{-397}."""
+    from scipy import integrate
     log_beta = math.log(beta)
 
     def integrand(y):
@@ -150,6 +153,7 @@ def beta_star(theta: float) -> RootReport:
     theta > 0: the root in (0, 3) of e^z drift(z) = 1, at which
     drift(z) = e^{-z}.  theta = 1 is the rectangular geometry and theta = 1/2
     the triangular one."""
+    from scipy import optimize
     _check_theta(theta)
     lo, hi = 1e-9, 3.0
     root, res = optimize.brentq(
@@ -236,8 +240,12 @@ class BoundaryLadder:
 def level_sum(k: int, lnz: float) -> float:
     """sum_{j=1}^k (z^j - 1)/j at ln z = lnz; expm1 keeps z ~ 1 exact.  At
     z = 1/(1 - b), level_sum = 1 is the full-information threshold equation;
-    the level-k root of the ladder solves level_sum = z (the sum from j = 2 is 1)."""
+    the level-k root of the ladder solves level_sum = z (the sum from j = 2 is 1).
+    Once k lnz passes ln of the largest float, the top term overflows and the
+    result is math.inf, with no warning."""
     _check_levels(k)
+    if k * lnz > _LOG_FLOAT_MAX:
+        return math.inf
     js = np.arange(1, k + 1, dtype=float)
     return float(np.sum(np.expm1(js * lnz) / js))
 

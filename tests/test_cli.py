@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -603,6 +606,46 @@ def test_snapshot():
     assert list(want) == SNAPSHOT_COMMANDS
     for command, stdout in want.items():
         assert _stdout_of(command) == stdout, command
+
+
+# Run one command in a fresh interpreter and print the scipy subpackages it
+# loaded.  Each scipy import lives in the function that needs it, so a
+# command pays only for the parts it calls.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+from stoprule import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(*sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}))
+"""
+
+
+def _scipy_loaded_by(command: str) -> set:
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *command.split()],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("command", [
+    "",  # the bare import of stoprule.cli
+    "sweep --target rectangular --grid 100:200:100",
+    "simulate --model rectangular --n 5 --k 5 --reps 100",
+    "limit --lambda 0.5",
+    "sweep --target lambda --grid 0.5:0.5:0.1",
+])
+def test_integer_level_commands_load_no_scipy(command):
+    assert _scipy_loaded_by(command) == set()
+
+
+@pytest.mark.parametrize("command, loads, skips", [
+    ("value --model triangular --n 20", {"special"}, {"optimize", "integrate"}),
+    ("fullinfo --n 20", {"optimize"}, set()),
+])
+def test_scipy_commands_load_only_what_they_call(command, loads, skips):
+    loaded = _scipy_loaded_by(command)
+    assert loads <= loaded and not loaded & skips, loaded
 
 
 if __name__ == "__main__":
