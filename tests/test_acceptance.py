@@ -13,6 +13,14 @@ n = 1000, 9000 and 36000, and v_9000 = 0.707703.  An end-point bracket
 replaced by an extrapolation: a least-squares fit v_n = a + b/sqrt(n) + c/n on
 the sweep's n >= 1000 must give |a - L| <= 1e-4 (the fit gives a - L = -3.0e-6,
 its residuals are below 1e-5) and b > 0.
+
+Criterion 13 checks the intensity route of the integer-level limit away from
+lambda = 1: rectangular(n, k) has Poisson(lambda) level counts as n/k ->
+lambda, so v_n of rectangular(n, round(n/lambda)) must tend to
+rect_limit(lambda).  Unlike the triangular gap, this one closes like 1/n: a
+fit v_n = a + b/n + c/n^2 on n = 200..4000 puts a within 4e-8 of the limit at
+lambda = 0.25, 0.5, 1 and 2, with b between 0.29 and 0.33.  The test requires
+|a - rect_limit(lambda)| <= 1e-6 and b > 0.
 """
 
 import math
@@ -231,15 +239,16 @@ def test_c10_monte_carlo_agreement():
 
 def test_c11_lambda_sweep_shape():
     t0 = time.time()
-    lams = [round(0.01 * i, 2) for i in range(1, 101)]
-    values = [poisson.rect_limit(lam).total for lam in lams]
-    assert all(a <= b + 1e-12 for a, b in zip(values, values[1:])), "not nondecreasing"
-    assert values[-1] == pytest.approx(0.761260, abs=1e-5)
+    lams = [round(0.01 * i, 2) for i in range(1, 501)]
+    values = dict(zip(lams, (poisson.rect_limit(lam).total for lam in lams)))
+    sweep = list(values.values())
+    assert all(a <= b + 1e-12 for a, b in zip(sweep, sweep[1:])), "not nondecreasing"
+    assert values[1.0] == pytest.approx(0.761260, abs=1e-5)
     tiny = poisson.rect_limit(0.003).total
     assert tiny == pytest.approx(0.580164, abs=5e-3)
     report("11 lambda sweep",
-           f"nondecreasing on 0.01..1, v(1)={values[-1]:.6f}, v(0.003)={tiny:.6f} "
-           f"[{time.time()-t0:.1f}s]")
+           f"nondecreasing on 0.01..5, v(1)={values[1.0]:.6f}, v(5)={values[5.0]:.6f}, "
+           f"v(0.003)={tiny:.6f} [{time.time()-t0:.1f}s]")
 
 
 def test_c12_scaling_checks():
@@ -253,3 +262,22 @@ def test_c12_scaling_checks():
     report("12 scaling checks",
            f"sup-dist triangular={rep1.sup_limit:.4f}, power(theta=1)={rep2.sup_limit:.4f} "
            f"[{time.time()-t0:.1f}s]")
+
+
+def test_c13_integer_level_limit_off_unit_intensity():
+    t0 = time.time()
+    ns = [200, 400, 800, 1200, 1600, 2000, 3000, 4000]
+    x = np.asarray(ns, dtype=float)
+    design = np.column_stack([np.ones_like(x), 1.0 / x, x ** -2.0])
+    fits = []
+    for lam in (0.25, 0.5, 1.0, 2.0):
+        vals = [dp.solve(ObservationModel.rectangular(n, round(n / lam))).decomposition.total
+                for n in ns]
+        assert all(a > b for a, b in zip(vals, vals[1:])), f"not strictly decreasing at {lam}"
+        limit = poisson.rect_limit(lam).total
+        a, b, _ = np.linalg.lstsq(design, vals, rcond=None)[0]
+        assert abs(a - limit) <= 1e-6, f"lambda={lam}: extrapolated {a:.9f} vs limit {limit:.9f}"
+        assert b > 0, f"lambda={lam}: not converging from above"
+        fits.append(f"{lam}: a-L={a - limit:+.1e} b={b:.3f}")
+    report("13 integer-level limit", f"fit a + b/n + c/n^2 on n = 200..4000, "
+           f"{'; '.join(fits)} [{time.time()-t0:.1f}s]")
