@@ -112,6 +112,23 @@ def _parse_grid(text: str):
     return [lo + i * step for i in range(count)]
 
 
+# Most work in a grid of horizons: the sum of n^2 over its points, the lattice
+# cells of a rectangular(n, n) sweep.  At the 0.864 s per triangular(9000) of
+# BENCH_16.json, 1e11 is about 18 minutes of triangular solves.
+_MAX_GRID_CELLS = 10**11
+
+
+def _parse_horizons(text: str) -> list[int]:
+    ns = [int(round(v)) for v in _parse_grid(text)]
+    cells = sum(n * n for n in ns)
+    if cells > _MAX_GRID_CELLS:
+        raise StopRuleError(
+            f"grid {text!r} needs {cells:.3g} cells (sum of n^2), above the cap of "
+            f"{_MAX_GRID_CELLS:.0e}"
+        )
+    return ns
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -149,7 +166,7 @@ def _cmd_value(args) -> int:
 
 def _cmd_fullinfo(args) -> int:
     if args.sweep is not None:
-        ns = [int(round(v)) for v in _parse_grid(args.sweep)]
+        ns = _parse_horizons(args.sweep)
         rows = [(n, fullinfo.sakaguchi_value(n)) for n in ns]
         payload = {"sweep": [{"n": n, "v_bar": v} for n, v in rows]}
         _emit(args, payload, rows, ("n", "v_bar"))
@@ -249,13 +266,13 @@ _SWEEP_GRIDS = {"lambda": "0.01:1:0.01", "triangular": "100:9000:100",
 
 
 def _cmd_sweep(args) -> int:
-    grid = _parse_grid(_SWEEP_GRIDS[args.target] if args.grid is None else args.grid)
+    grid = _SWEEP_GRIDS[args.target] if args.grid is None else args.grid
     if args.target == "lambda":
-        rows = [(lam, poisson.rect_limit(lam).total) for lam in grid]
+        rows = [(lam, poisson.rect_limit(lam).total) for lam in _parse_grid(grid)]
         header = ("lambda", "value")
     else:
         rows = []
-        for n in (int(round(v)) for v in grid):
+        for n in _parse_horizons(grid):
             model = (ObservationModel.triangular(n) if args.target == "triangular"
                      else ObservationModel.rectangular(n, n))
             rows.append((n, dp.solve(model).decomposition.total))

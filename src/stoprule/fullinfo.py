@@ -72,7 +72,7 @@ def gm_optimal_thresholds(n: int) -> ThresholdPolicy:
 def _check_gm_thresholds(n: int, b: np.ndarray):
     if len(b) != n:
         raise InvalidPolicyError(f"expected {n} thresholds, got {len(b)}")
-    if np.any(b < 0.0) or np.any(b > 1.0):
+    if not np.all((b >= 0.0) & (b <= 1.0)):  # NaN fails too
         raise InvalidPolicyError("thresholds must lie in [0, 1]")
     if np.any(np.diff(b) < 0.0):
         raise InvalidPolicyError("thresholds must be nondecreasing")

@@ -27,6 +27,7 @@ from .models import (
     TREND_SHIFTED,
     TRIANGULAR,
     DomainError,
+    InvalidPolicyError,
     ObservationModel,
     ResourceLimitError,
     ThresholdPolicy,
@@ -125,7 +126,7 @@ def simulate(config: SimConfig) -> SimResult:
     n = model.n
     policy = config.policy if isinstance(config.policy, ThresholdPolicy) else optimal_policy(model)
     if policy.n != n:
-        raise DomainError(f"policy length {policy.n} != n = {n}")
+        raise InvalidPolicyError(f"policy length {policy.n} != n = {n}")
     b = np.asarray(policy.thresholds)
     strict = config.record_semantics == "strict"
     reps = config.replications

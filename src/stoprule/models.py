@@ -238,13 +238,6 @@ class ObservationModel:
         params = {name: getattr(self, name) for name in MODEL_PARAMS[self.kind]}
         return {"kind": self.kind, "n": self.n, "params": params}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ObservationModel":
-        params = dict(obj.get("params", {}))
-        if "k" in params:
-            params["k"] = int(params["k"])
-        return cls(obj["kind"], int(obj["n"]), **params)
-
 
 def _encode_threshold(b: float):
     if b == math.inf:
@@ -259,6 +252,8 @@ def _decode_threshold(b) -> float:
         return math.inf
     if b == "-inf":
         return -math.inf
+    if isinstance(b, bool) or not isinstance(b, (int, float)):
+        raise TypeError(f"not a threshold: {b!r}")
     return float(b)
 
 

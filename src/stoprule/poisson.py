@@ -34,7 +34,6 @@ from .models import (
 )
 
 __all__ = [
-    "expint_e1",
     "GEOMETRIES",
     "jump_success",
     "drift_success",
@@ -54,18 +53,6 @@ __all__ = [
 # Box areas above which the drift functions integrate against the jump
 # functions: the balance series needs more terms than it keeps from z ~ 250.
 _LARGE_AREA = 50.0
-
-
-# ---------------------------------------------------------------------------
-# Special functions
-# ---------------------------------------------------------------------------
-
-def expint_e1(x: float) -> float:
-    """Exponential integral E1(x) = int_x^inf e^{-s}/s ds for x > 0."""
-    if x <= 0:
-        raise DomainError(f"expint_e1 requires x > 0, got {x}")
-    from scipy import special
-    return float(special.exp1(x))
 
 
 def _balance(theta: float, z: float) -> float:
@@ -188,10 +175,11 @@ def samuels_value() -> float:
 def gm_limit_finite_T(T: float) -> float:
     """Finite-horizon variant of samuels_value: the exponential integral is
     truncated at T.  Defined for T >= beta_star(1)."""
+    from scipy import special
     b = beta_star(1.0).root
     if T < b:
         raise DomainError(f"T must be >= {b:.6f}, got {T}")
-    tail = expint_e1(b) - (0.0 if math.isinf(T) else expint_e1(T))
+    tail = float(special.exp1(b)) - (0.0 if math.isinf(T) else float(special.exp1(T)))
     return math.exp(-b) + (math.exp(b) - 1.0 - b) * tail
 
 
@@ -254,7 +242,7 @@ def level_sum(k: int, lnz: float) -> float:
 MAX_LEVELS = 5_000_000
 # Most cutoffs rect_general_boundary takes: its double sum is O(K^2).
 MAX_BOUNDARY_LEVELS = 20_000
-# Default bound on the level-series mass dropped by truncation.
+# Bound on the level-series mass dropped by truncation.
 _TAIL_TOL = 1e-10
 # Intensities at or above this overflow e^lam.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -355,7 +343,7 @@ def rect_roots(k_max: int, lam: float = 1.0) -> BoundaryLadder:
 
 def rect_limit_tail_bound(lam: float, k_max: int | None = None) -> float:
     """Upper bound on the mass dropped by truncating the level series at k_max,
-    by default at the truncation rect_limit picks for its default tol.
+    by default at the truncation rect_limit picks.
 
     Per level k the drift term is at most (e^lam - 1) e^{-lam k} and the jump
     term at most beta e^beta e^{-lam k}/k < 2.3 e^{-lam k}/k, so a geometric
@@ -363,22 +351,22 @@ def rect_limit_tail_bound(lam: float, k_max: int | None = None) -> float:
     r = e^{-lam}, written without e^lam so that it is finite for every lam.
     """
     if k_max is None:
-        k_max = _auto_k_max(lam, _TAIL_TOL)
+        k_max = _auto_k_max(lam)
     r = math.exp(-lam)
     return r ** k_max + 2.3 * r ** (k_max + 1) / (max(k_max, 1) * -math.expm1(-lam))
 
 
-def _auto_k_max(lam: float, tol: float) -> int:
+def _auto_k_max(lam: float) -> int:
     r = math.exp(-lam)
     # log((e^lam + 1.3) / (1 - r)) = lam + log1p(2.3 r / (1 - r))
-    estimate = (lam + math.log1p(2.3 * r / -math.expm1(-lam)) - math.log(tol)) / lam
+    estimate = (lam + math.log1p(2.3 * r / -math.expm1(-lam)) - math.log(_TAIL_TOL)) / lam
     if not math.isfinite(estimate):  # lam below about 5e-306
-        raise ResourceLimitError(f"level series will not reach tol={tol} at lam={lam}")
+        raise ResourceLimitError(f"level series will not reach tol={_TAIL_TOL} at lam={lam}")
     k = max(8, math.ceil(estimate))
-    while rect_limit_tail_bound(lam, k) > tol:
+    while rect_limit_tail_bound(lam, k) > _TAIL_TOL:
         k = int(k * 1.25) + 8
         if k > MAX_LEVELS:
-            raise ResourceLimitError(f"level series will not reach tol={tol} at lam={lam}")
+            raise ResourceLimitError(f"level series will not reach tol={_TAIL_TOL} at lam={lam}")
     return k
 
 
@@ -406,21 +394,22 @@ def _level_series(u: np.ndarray, lam: float, k_max: int) -> tuple[float, float]:
     return math.fsum(jump), math.fsum(drift)
 
 
-def rect_limit(lam: float, k_max: int | None = None, tol: float = _TAIL_TOL) -> Decomposition:
+def rect_limit(lam: float, k_max: int | None = None) -> Decomposition:
     """Limit success probability for the integer-level model at intensity lam,
     split into jump and drift series over the levels.
 
     k_max defaults to the smallest truncation whose geometric tail bound is
-    below tol; an explicit k_max that cannot meet tol raises PrecisionError.
-    A k_max, explicit or automatic, above MAX_LEVELS raises ResourceLimitError.
+    below _TAIL_TOL; an explicit k_max that cannot meet it raises
+    PrecisionError.  A k_max, explicit or automatic, above MAX_LEVELS raises
+    ResourceLimitError.
     """
     _check_lam(lam)
-    required = _auto_k_max(lam, tol)
+    required = _auto_k_max(lam)
     if k_max is None:
         k_max = required
-    elif rect_limit_tail_bound(lam, k_max) > tol:
+    elif rect_limit_tail_bound(lam, k_max) > _TAIL_TOL:
         raise PrecisionError(
-            f"k_max={k_max} leaves tail above tol={tol}; need k_max >= {required}",
+            f"k_max={k_max} leaves tail above tol={_TAIL_TOL}; need k_max >= {required}",
             required_k_max=required,
         )
     _check_levels(k_max)

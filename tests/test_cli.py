@@ -416,6 +416,33 @@ class TestErrors:
         assert len(cli._parse_grid("1:100000:1")) == cli._MAX_GRID
 
     @pytest.mark.parametrize("args", [
+        ("sweep", "--target", "triangular", "--grid", "1000:1001:1"),
+        ("sweep", "--target", "rectangular", "--grid", "1000:1001:1"),
+        ("fullinfo", "--sweep", "1000:1001:1"),
+    ], ids=["triangular", "rectangular", "fullinfo"])
+    def test_grid_over_work_cap_exits_1(self, capsys, monkeypatch, args):
+        # 1000^2 + 1001^2 cells, one over the cap: refused before any solve
+        def unreachable(*_):
+            raise AssertionError("a grid over the cap reached the solver")
+
+        monkeypatch.setattr(cli.dp, "solve", unreachable)
+        monkeypatch.setattr(cli.fullinfo, "sakaguchi_value", unreachable)
+        monkeypatch.setattr(cli, "_MAX_GRID_CELLS", 1000**2 + 1001**2 - 1)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        monkeypatch.setattr(cli, "_MAX_GRID_CELLS", 1000**2 + 1001**2)
+        assert cli._parse_horizons("1000:1001:1") == [1000, 1001]
+
+    def test_work_cap_admits_default_grids(self):
+        for grid in (cli._SWEEP_GRIDS["triangular"], cli._SWEEP_GRIDS["rectangular"], "10:500:10"):
+            cli._parse_horizons(grid)
+        # 99,010 points, under the point cap, but about 8.9e12 cells
+        with pytest.raises(cli.StopRuleError):
+            cli._parse_horizons("9000:10000:0.0101")
+
+    @pytest.mark.parametrize("args", [
         ("fullinfo", "--n", "41"),
         ("fullinfo", "--sweep", "40:41:1"),
         ("thresholds", "--model", "uniform01", "--n", "41"),

@@ -105,6 +105,8 @@ class TestGmSuccess:
             fullinfo.gm_success(3, [0.1, 0.5])
         with pytest.raises(InvalidPolicyError):
             fullinfo.gm_success(2, [0.1, 1.5])
+        with pytest.raises(InvalidPolicyError):
+            fullinfo.gm_success(3, [0.2, math.nan, 1.0])
 
     def test_parts_bounded_for_monotone_valid_inputs(self):
         rng = np.random.default_rng(11)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from stoprule import dp, fullinfo, mc
 from stoprule.models import (
     DomainError,
+    InvalidPolicyError,
     ObservationModel,
     ResourceLimitError,
     ThresholdPolicy,
@@ -373,7 +374,7 @@ class TestConfigValidation:
 
     def test_policy_length_mismatch(self):
         m = ObservationModel.triangular(5)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidPolicyError):
             mc.simulate(mc.SimConfig(model=m, policy=ThresholdPolicy((1.0,)), replications=10))
 
     def test_no_optimal_policy_for_trend_models(self):
