@@ -5,10 +5,13 @@ Carlo harness, and cold-start timings of the CLI.
     python bench/run.py --label parent --src ../parent/src --out BENCH.json
 
 Imports stoprule from --src (default: this checkout's src/) and times every
-row of ROWS: four DP passes (dp._lattice_pass), the four 500k-replication
-simulations of the perfbench mc_simulate workload, and the bare
-`import stoprule.cli` and four CLI commands, each in a fresh interpreter with
---src on PYTHONPATH, timed as the wall time of the whole process.
+row of ROWS: four DP passes, the 90 triangular solves of the acceptance c05
+grid, the four 500k-replication simulations of the perfbench mc_simulate
+workload, and the bare `import stoprule.cli` and five CLI commands, each in a
+fresh interpreter with --src on PYTHONPATH, timed as the wall time of the
+whole process.  Every timed triangular solve starts from empty triangular
+records (`dp._TRIANGULAR`, where the source has them), so a single solve
+times one whole backward pass and the grid row one pass to its largest n.
 
 Each row runs once untimed, and that output gives the row's extra fields; a
 simulation then runs once more under tracemalloc, so that its peak leaves out
@@ -35,6 +38,7 @@ import tracemalloc
 REPS = 7
 MC_REPS = 500_000
 COLD = ("", "sweep --target rectangular --grid 1000:2000:500",
+        "sweep --target triangular --grid 5000:9000:4000",
         "simulate --model rectangular --n 50 --k 50 --reps 500000 --seed 1",
         "limit --lambda 0.003", "fullinfo --n 2000")
 ROWS = (  # (row name, kind, arguments of the kind)
@@ -42,6 +46,8 @@ ROWS = (  # (row name, kind, arguments of the kind)
     ("solve triangular(9000)", "solve", ("triangular", 9000)),
     ("solve rectangular(2000, 2000)", "solve", ("rectangular", 2000, 2000)),
     ("policy_value perturbed triangular(5000)", "policy_value", ("triangular", 5000)),
+    ("solve triangular 100..9000:100 (c05 grid)", "solve",
+     *(("triangular", n) for n in range(100, 9001, 100))),
     ("simulate triangular(50)", "simulate", ("triangular", 50), "optimal", "weak", 11),
     ("simulate rectangular(50, 50)", "simulate", ("rectangular", 50, 50), "optimal", "weak", 12),
     ("simulate uniform01(20)", "simulate", ("iid_uniform01", 20), "optimal", "weak", 13),
@@ -114,9 +120,15 @@ def rows(src: str):
     def perturbed_policy(m):
         return ThresholdPolicy(perturbed(dp.solve(m).policy.thresholds))
 
-    def solve(spec):
-        m = model(spec)
-        return lambda: dp.solve(m).decomposition.total, lambda total: {}
+    def solve(*specs):
+        models = [model(spec) for spec in specs]
+
+        def call():
+            records = getattr(dp, "_TRIANGULAR", None)  # absent before the shared pass
+            if records is not None:
+                records.clear()
+            return [dp.solve(m).decomposition.total for m in models]
+        return call, lambda totals: {}
 
     def policy_value(spec):
         m, policy = model(spec), perturbed_policy(model(spec))

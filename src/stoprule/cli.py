@@ -87,10 +87,15 @@ def _model_from_args(args) -> ObservationModel:
     return ObservationModel(kind, args.n, **params)
 
 
+def _refuse_constant(token: str):
+    # json reads the non-JSON tokens Infinity, -Infinity and NaN by default
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def _load_policy(path: str) -> ThresholdPolicy:
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_refuse_constant)
         except (ValueError, RecursionError) as exc:
             raise StopRuleError(f"policy file {path} is not valid JSON: {exc}") from exc
     return ThresholdPolicy.from_json(obj)
@@ -113,8 +118,11 @@ def _parse_grid(text: str):
 
 
 # Most work in a grid of horizons: the sum of n^2 over its points, the lattice
-# cells of a rectangular(n, n) sweep.  At the 0.864 s per triangular(9000) of
-# BENCH_16.json, 1e11 is about 18 minutes of triangular solves.
+# cells of a rectangular(n, n) sweep, which runs one pass per point.  A
+# triangular sweep costs about one pass to its largest n, since dp keeps the
+# triangular records by steps left; the one cap still bounds both.  At the
+# 0.864 s per triangular(9000) pass of BENCH_16.json, 1e11 cells of separate
+# passes are about 18 minutes.
 _MAX_GRID_CELLS = 10**11
 
 

@@ -20,6 +20,20 @@ nondecreasing thresholds the drift windows are disjoint, so the sweep only
 records each window's step and v(m, y); one P(M_m >= y) call and one fsum
 after the sweep give the drift mass.
 
+The work is split in two halves.  The backward half (`_Sweep.advance`) keeps
+per-step records by steps left r = n - j: threshold, jump sum, backward sum
+and drift-window values, plus the frontier's two columns, so it can go on
+from where it stopped.  The forward half (`_Sweep.horizon`) forms the factors
+P(M_{j-1} >= .), the jump and drift fsums and the consistency gate for one
+horizon in O(n).  For the triangular kind the records do not depend on n:
+in y = n - x, X_j is uniform on {0..r}, and the stop column, the
+continuation column and the threshold at r are the same floats for every
+horizon (the closed form reads only r - y - 1, y + 1, y + 2 and r + 1).  So
+`solve` keeps one set of triangular records and extends it when a larger n
+is asked for: any sequence of triangular solves costs one sweep to the
+largest n plus O(n) per call.  Rectangular solves, policy evaluations and
+solves with tables run both halves once.
+
 For arbitrary monotone policies the same sums apply with v replaced by the
 "stop at every future record below y" chain, which is what any monotone
 threshold rule does after first passage.
@@ -28,6 +42,7 @@ threshold rule does after first passage.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,116 +193,169 @@ def _lattice_for(model: ObservationModel):
 
 
 # ---------------------------------------------------------------------------
-# Unified backward pass with jump/drift accumulation
+# Backward half: records kept by steps left
 # ---------------------------------------------------------------------------
 
-def _lattice_pass(model: ObservationModel, policy: ThresholdPolicy | None = None,
-                  want_tables: bool = False):
-    """One backward sweep.  With policy=None it solves for the optimal
-    thresholds and returns (b, jump, drift, v0, stop_tab, cont_tab); with a
-    policy it evaluates that rule exactly (v0 is then NaN and the
-    continuation chain is "stop at every future record")."""
-    lat = _lattice_for(model)
-    n, x_max = model.n, model.support(model.n)[1]
-    optimal = policy is None
-    b = np.zeros(n + 2, dtype=np.int64)
-    if not optimal:
-        # clamp to [0, x_max]: anything below the support stops nothing
-        b[1 : n + 1] = np.clip(np.floor(policy.thresholds), 0, x_max)
-    b[n + 1] = x_max  # drift windows at m = n are empty either way
-    # Jump mass at step j is P(M_{j-1} >= b_j + 1) * ssum_j / size_j with
-    # ssum_j = sum_{lo_j <= x <= b_j} s(j, x); the prefactors are evaluated
-    # in one call after the sweep.
-    jump_ssum = np.zeros(n + 1)
-    sizes = np.ones(n + 1, dtype=np.int64)
-    # Drift mass at y in the window (b_m, b_{m+1}] is P(M_m = y) v(m, y).
-    # Nondecreasing thresholds make the windows disjoint, so each y keeps its
-    # window's step m (0: no window) and v(m, y) until one call after the sweep.
-    drift_step = np.zeros(x_max + 1, dtype=np.int64)
-    drift_cont = np.zeros(x_max + 1)
-    covered = 0
-    stop_tab = cont_tab = None
-    if want_tables:
-        cells = (n + 1) * (x_max + 1)
-        if cells > TABLE_CELL_CAP:
-            raise ResourceLimitError(
-                f"value tables need {cells} cells, above cap {TABLE_CELL_CAP}"
-            )
-        stop_tab = np.full((n + 1, x_max + 1), np.nan)
-        cont_tab = np.full((n + 1, x_max + 1), np.nan)
+class _Sweep:
+    """Records of one backward sweep, kept by steps left r = n - j.
 
-    # Two stop and two continuation columns, swapped every step.  Entries
-    # below the support are never written, so cont stays 0 there; the
-    # recurrence fills cont[lo1:] and cont[lo:lo1] is zeroed.
-    s_col, s_next = np.full(x_max + 1, np.nan), np.full(x_max + 1, np.nan)
-    cont, cont_next = np.zeros(x_max + 1), np.zeros(x_max + 1)
-    w = np.empty(x_max + 1)
-    tail = np.empty(x_max + 1)
-    # (hi1 - x) / size = P(X_{j+1} > x) for x in the support; rebuilt only
-    # when the support moves (every step for triangular, once for rectangular)
-    p_above = np.empty(x_max + 1)
-    above_support = None
-    hit = np.empty(x_max + 1, dtype=bool)
-    xs = np.arange(x_max + 1, dtype=float)
-    v0 = math.nan
-    for j in range(n, 0, -1):
-        lo, hi = model.support(j)
-        sizes[j] = hi - lo + 1
-        lat.stop_col(j, s_col)
-        if j < n:
-            lo1, hi1 = model.support(j + 1)
-            size = hi1 - lo1 + 1
-            cont[lo:lo1] = 0.0
-            acc, pt = w[lo1:], tail[lo1:]
-            if optimal:
-                np.maximum(s_next[lo1:], cont_next[lo1:], out=acc)
-                np.cumsum(acc, out=acc)
-            else:
-                np.cumsum(s_next[lo1:], out=acc)
-            np.divide(acc, size, out=acc)
-            if above_support != (lo1, hi1):
-                above_support = (lo1, hi1)
-                np.subtract(hi1, xs[lo1:], out=p_above[lo1:])
-                np.divide(p_above[lo1:], size, out=p_above[lo1:])
-            np.multiply(p_above[lo1:], cont_next[lo1:], out=pt)
-            np.add(acc, pt, out=cont[lo1:])
-            np.minimum(cont[lo1:], 1.0, out=cont[lo1:])
+    Per step: the threshold as y_b = x_max - b_j, the support size, the jump
+    sum ssum = sum_{lo <= x <= b_j} s(j, x) and, for the optimal rule, the
+    backward sum sum_x max(s(j, x), v(j, x)), taken from the cumsum that the
+    continuation recurrence of the step before forms anyway.  Per lattice
+    value: the step r of the drift window that covers it (0: none) and
+    v(j, x) there.  The stop and continuation columns of the frontier step
+    let `advance` go on later.  Arrays over lattice values are aligned to the
+    right, so x of a horizon with top x_max sits at index x + len - 1 - x_max.
+    """
 
+    def __init__(self):
+        self.lock = threading.RLock()
+        self.clear()
+
+    def clear(self) -> None:
+        with self.lock:
+            self.steps = 0
+            self.overlap_from = math.inf  # first r whose drift window meets an earlier one
+            self.y_b = np.zeros(0, dtype=np.int64)
+            self.size = np.zeros(0, dtype=np.int64)
+            self.ssum = np.zeros(0)
+            self.vsum = np.zeros(0)
+            self.drift_r = np.zeros(0, dtype=np.int64)
+            self.drift_cont = np.zeros(0)
+            self.stop = np.zeros(0)
+            self.cont = np.zeros(0)
+
+    def _grow(self, width: int, steps: int) -> None:
+        for name in ("y_b", "size", "ssum", "vsum"):
+            old = getattr(self, name)
+            new = np.zeros(steps, dtype=old.dtype)
+            new[: len(old)] = old
+            setattr(self, name, new)
+        for name in ("drift_r", "drift_cont", "stop", "cont"):
+            old = getattr(self, name)
+            new = np.zeros(width, dtype=old.dtype)
+            new[width - len(old) :] = old
+            setattr(self, name, new)
+
+    def advance(self, lat, model: ObservationModel, thresholds=None, tables=None) -> None:
+        """Sweep on from the frontier until all n steps of model are
+        recorded.  With thresholds=None the sweep solves for the optimal
+        rule; with a policy's thresholds it evaluates that rule (the
+        continuation chain is then "stop at every future record").  The
+        steps already recorded must be the last steps of model too, and the
+        columns no wider than its lattice."""
+        n, x_max = model.n, model.support(model.n)[1]
+        start = self.steps
+        self._grow(x_max + 1, n)
+        optimal = thresholds is None
+        if not optimal:
+            # clamp to [0, x_max]: anything below the support stops nothing
+            b = np.clip(np.floor(thresholds[::-1]), 0, x_max)
+            self.y_b[:] = x_max - b.astype(np.int64)
+        # Two stop and two continuation columns, swapped every step.  Entries
+        # below the support are never written, so cont stays 0 there; the
+        # recurrence fills cont[lo1:] and cont[lo:lo1] is zeroed.
+        s_col, s_next = np.empty(x_max + 1), self.stop
+        cont, cont_next = np.zeros(x_max + 1), self.cont
+        w = np.empty(x_max + 1)
+        tail = np.empty(x_max + 1)
+        # (hi1 - x) / size = P(X_{j+1} > x) for x in the support; rebuilt only
+        # when the support moves (every step for triangular, once for rectangular)
+        p_above = np.empty(x_max + 1)
+        above_support = None
+        hit = np.empty(x_max + 1, dtype=bool)
+        xs = np.arange(x_max + 1, dtype=float)
+        try:
+            for r in range(start, n):
+                j = n - r
+                lo, hi = model.support(j)
+                self.size[r] = hi - lo + 1
+                lat.stop_col(j, s_col)
+                if r:
+                    lo1, hi1 = model.support(j + 1)
+                    size = hi1 - lo1 + 1
+                    cont[lo:lo1] = 0.0
+                    acc, pt = w[lo1:], tail[lo1:]
+                    if optimal:
+                        np.maximum(s_next[lo1:], cont_next[lo1:], out=acc)
+                        np.cumsum(acc, out=acc)
+                        self.vsum[r - 1] = acc[-1]
+                    else:
+                        np.cumsum(s_next[lo1:], out=acc)
+                    np.divide(acc, size, out=acc)
+                    if above_support != (lo1, hi1):
+                        above_support = (lo1, hi1)
+                        np.subtract(hi1, xs[lo1:], out=p_above[lo1:])
+                        np.divide(p_above[lo1:], size, out=p_above[lo1:])
+                    np.multiply(p_above[lo1:], cont_next[lo1:], out=pt)
+                    np.add(acc, pt, out=cont[lo1:])
+                    np.minimum(cont[lo1:], 1.0, out=cont[lo1:])
+
+                if optimal:
+                    # largest x with s >= v
+                    np.greater_equal(s_col[lo:], cont[lo:], out=hit[lo:])
+                    self.y_b[r] = hit[lo:][::-1].argmax()
+                bj = x_max - int(self.y_b[r])
+                if bj >= lo:
+                    self.ssum[r] = np.sum(s_col[lo : bj + 1])
+
+                # Drift mass at y in the window (b_j, b_{j+1}] is
+                # P(M_j = y) v(j, y).  Nondecreasing thresholds make the
+                # windows disjoint, so each y keeps its window's step.
+                window = slice(bj + 1, x_max - int(self.y_b[r - 1]) + 1 if r else 0)
+                if window.stop > window.start:
+                    if self.drift_r[window].any():
+                        self.overlap_from = min(self.overlap_from, r)
+                    else:
+                        self.drift_r[window] = r
+                        self.drift_cont[window] = cont[window]
+
+                if tables is not None:
+                    tables[0][j, lo:] = s_col[lo:]
+                    tables[1][j, lo:] = cont[lo:]
+                s_col, s_next = s_next, s_col
+                cont, cont_next = cont_next, cont
+            if optimal:  # the frontier's backward sum, as its next step would form it
+                lo = model.support(1)[0]
+                np.maximum(s_next[lo:], cont_next[lo:], out=w[lo:])
+                self.vsum[n - 1] = np.cumsum(w[lo:], out=w[lo:])[-1]
+        except BaseException:
+            self.clear()  # a half-swept frontier must not be extended later
+            raise
+        self.stop, self.cont, self.steps = s_next, cont_next, n
+
+    def horizon(self, lat, model: ObservationModel, optimal: bool = True):
+        """Forward half: thresholds b_1..b_n, jump and drift of the horizon
+        n = model.n from the first n records, with the consistency gate on
+        the optimal rule.  lat is model's lattice."""
+        n, x_max = model.n, model.support(model.n)[1]
+        if self.overlap_from < n:
+            raise PrecisionError("drift windows overlap: the thresholds are not nondecreasing")
+        b = x_max - self.y_b[n - 1 :: -1]
+        size = self.size[n - 1 :: -1]
+        # Jump mass at step j is P(M_{j-1} >= b_j + 1) * ssum_j / size_j.
+        pm = lat.prob_min_ge(np.arange(n), b + 1)
+        jump = math.fsum(pm * self.ssum[n - 1 :: -1] / size)
+        at = len(self.drift_r) - 1 - x_max
+        window_r = self.drift_r[at:]
+        ys = np.flatnonzero((window_r > 0) & (window_r < n))
+        # P(M_j = y) = P(M_j >= y) - P(M_j >= y + 1)
+        pge = lat.prob_min_ge(n - window_r[ys, None], ys[:, None] + np.array([0, 1]))
+        drift = math.fsum((pge[:, 0] - pge[:, 1]) * self.drift_cont[at:][ys])
         if optimal:
-            # largest x with s >= v
-            np.greater_equal(s_col[lo:], cont[lo:], out=hit[lo:])
-            b[j] = x_max - int(hit[lo:][::-1].argmax())
+            v0 = float(self.vsum[n - 1]) / size[0]
+            if abs(jump + drift - v0) > _CONSISTENCY_TOL:
+                raise PrecisionError(
+                    f"jump/drift sums ({jump + drift}) disagree with backward value ({v0})"
+                )
+        return b, jump, drift
 
-        bj = int(b[j])
-        if bj >= lo:
-            jump_ssum[j] = np.sum(s_col[lo : bj + 1])
 
-        if j < n:
-            lo_w = max(bj + 1, 1)
-            hi_w = min(int(b[j + 1]), x_max)
-            if hi_w >= lo_w:
-                drift_step[lo_w : hi_w + 1] = j
-                drift_cont[lo_w : hi_w + 1] = cont[lo_w : hi_w + 1]
-                covered += hi_w - lo_w + 1
-
-        if want_tables:
-            stop_tab[j, lo:] = s_col[lo:]
-            cont_tab[j, lo:] = cont[lo:]
-        if j == 1 and optimal:
-            w1 = np.maximum(s_col[lo:], cont[lo:])
-            v0 = float(np.sum(w1)) / sizes[1]
-        s_col, s_next = s_next, s_col
-        cont, cont_next = cont_next, cont
-
-    pm = lat.prob_min_ge(np.arange(n), b[1 : n + 1] + 1)
-    jump = math.fsum(pm * jump_ssum[1:] / sizes[1:])
-    ys = np.flatnonzero(drift_step)
-    if len(ys) != covered:
-        raise PrecisionError("drift windows overlap: the thresholds are not nondecreasing")
-    # P(M_m = y) = P(M_m >= y) - P(M_m >= y + 1)
-    pge = lat.prob_min_ge(drift_step[ys, None], ys[:, None] + np.array([0, 1]))
-    drift = math.fsum((pge[:, 0] - pge[:, 1]) * drift_cont[ys])
-    return b[1 : n + 1], jump, drift, v0, stop_tab, cont_tab
+# Triangular records: at r steps left X_j is uniform on y = n - x in {0..r},
+# a law that does not name n, so one sweep serves every horizon up to its
+# frontier and a larger horizon extends it.
+_TRIANGULAR = _Sweep()
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +400,34 @@ def solve(model: ObservationModel, keep_tables: bool = False) -> DpSolution:
     """Optimal stopping solution for a discrete model.
 
     Value tables are materialized only when keep_tables is True; the
-    Bernoulli pyramid has no lattice tables.  The step cap defaults to 10^4
-    and can be overridden with STOPRULE_MAX_N.
+    Bernoulli pyramid has no lattice tables.  Triangular solves without
+    tables share one backward pass, extended to the largest n asked for.
+    The step cap defaults to 10^4 and can be overridden with STOPRULE_MAX_N.
     """
     check_step_cap(model.n)
     if model.kind == BERNOULLI_PYRAMID:
         c = _pyramid_cutoff(model.n, model.p)
         policy = ThresholdPolicy((-math.inf,) * (c - 1) + (math.inf,) * (model.n - c + 1))
         return DpSolution(model, None, policy, _pyramid_policy_value(model, policy))
-    b, jump, drift, v0, stop_tab, cont_tab = _lattice_pass(model, want_tables=keep_tables)
-    total = jump + drift
-    if abs(total - v0) > _CONSISTENCY_TOL:
-        raise PrecisionError(
-            f"jump/drift sums ({total}) disagree with backward value ({v0})"
-        )
-    thresholds = tuple(float(x) for x in b[:-1]) + (math.inf,)
+    # Both caps are checked before the triangular records are read, so
+    # whether a call is refused does not depend on earlier calls.
+    lat = _lattice_for(model)
+    n, width = model.n, model.support(model.n)[1] + 1
     tables = None
     if keep_tables:
-        tables = ValueTables(model, stop_tab, cont_tab)
+        if (n + 1) * width > TABLE_CELL_CAP:
+            raise ResourceLimitError(
+                f"value tables need {(n + 1) * width} cells, above cap {TABLE_CELL_CAP}"
+            )
+        tables = (np.full((n + 1, width), np.nan), np.full((n + 1, width), np.nan))
+    sweep = _TRIANGULAR if model.kind == TRIANGULAR and not keep_tables else _Sweep()
+    with sweep.lock:
+        if sweep.steps < n:
+            sweep.advance(lat, model, tables=tables)
+        b, jump, drift = sweep.horizon(lat, model)
+    thresholds = tuple(float(x) for x in b[:-1]) + (math.inf,)
+    if keep_tables:
+        tables = ValueTables(model, *tables)
     return DpSolution(
         model=model,
         tables=tables,
@@ -373,7 +451,10 @@ def policy_value(model: ObservationModel, policy: ThresholdPolicy) -> Decomposit
     check_step_cap(model.n)
     if model.kind == BERNOULLI_PYRAMID:
         return _pyramid_policy_value(model, policy)
-    _, jump, drift, _, _, _ = _lattice_pass(model, policy=policy)
+    lat = _lattice_for(model)
+    sweep = _Sweep()
+    sweep.advance(lat, model, thresholds=policy.thresholds)
+    _, jump, drift = sweep.horizon(lat, model, optimal=False)
     return Decomposition(jump, drift)
 
 

@@ -145,6 +145,15 @@ def test_c05_dp_convergence_triangular(triangular_sweep):
            f"fit a={a:.6f} a-L={a - limit:+.1e} b={b:.4f} [{time.time()-t0:.2f}s]")
 
 
+@pytest.mark.parametrize("n", [100, 4500, 9000])
+def test_c05_sweep_equals_cold_solve(triangular_sweep, n):
+    # the fixture's solves share one sweep of the triangular records; each
+    # of these sweeps alone from r = 0
+    dp._TRIANGULAR.clear()
+    cold = dp.solve(ObservationModel.triangular(n)).decomposition.total
+    assert triangular_sweep[n].hex() == cold.hex()
+
+
 def test_c06_oracle_equivalence():
     t0 = time.time()
     checked = 0

@@ -348,6 +348,19 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+    def test_non_json_constant_in_policy_exits_1(self, capsys, tmp_path, token):
+        # unbounded thresholds are the strings "inf" and "-inf"; the bare
+        # tokens that Python's json reads by default are not JSON
+        path = tmp_path / "pol.json"
+        path.write_text(f'{{"thresholds": [0, 1, {token}]}}')
+        code, out, err = run_cli(capsys, "value", "--model", "triangular",
+                                 "--n", "3", "--policy", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and token in err
+
     def test_pyramid_tables_exits_1(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "value", "--model", "pyramid", "--n", "5",
                                  "--p", "0.3", "--tables", str(tmp_path / "t.csv"))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,15 @@ from stoprule.models import (
 )
 
 from oracles import enumerate_outcomes, policy_oracle
+
+
+@pytest.fixture
+def own_records(monkeypatch):
+    """Empty triangular records for one test, so that it sweeps from r = 0
+    and leaves the shared records as they were."""
+    records = dp._Sweep()
+    monkeypatch.setattr(dp, "_TRIANGULAR", records)
+    return records
 
 
 def stop_value(model, j, x):
@@ -188,10 +199,10 @@ class TestSolve:
         with pytest.raises(PrecisionError):
             dp.solve(ObservationModel.triangular(5))
 
-    def test_overlapping_drift_windows_raise_precision_error(self, monkeypatch):
+    def test_overlapping_drift_windows_raise_precision_error(self, monkeypatch, own_records):
         # A stop column of ones at step 3 puts b_3 at the top of the support
         # while b_2 and b_4 stay low, so the drift window (b_2, b_3] overlaps
-        # the windows of later steps.
+        # the windows of later steps.  The sweep runs on records of its own.
         lattice_for = dp._lattice_for
 
         def patched(model):
@@ -561,3 +572,114 @@ def test_stop_col_matches_closed_form_bit_for_bit(model):
         cut_seen = cut_seen or len(tail) > 0
     if model.n == 1500:
         assert cut_seen
+
+
+# ---------------------------------------------------------------------------
+# Triangular records shared by every horizon
+# ---------------------------------------------------------------------------
+
+def bits(sol):
+    """Thresholds and the exact bits of jump and drift of one solve."""
+    d = sol.decomposition
+    return sol.policy.thresholds, d.jump.hex(), d.drift.hex()
+
+
+def cold_solve(n):
+    """solve(triangular(n)) with the shared records emptied first, so that it
+    sweeps from r = 0 to n alone."""
+    dp._TRIANGULAR.clear()
+    return dp.solve(ObservationModel.triangular(n))
+
+
+class TestSharedTriangularRecords:
+    @settings(max_examples=25, deadline=None)
+    @given(ns=st.lists(st.integers(1, 300), min_size=1, max_size=8, unique=True),
+           order=st.sampled_from(["ascending", "descending", "shuffled"]),
+           data=st.data())
+    def test_warm_solve_equals_cold_solve(self, ns, order, data):
+        cold = {n: bits(cold_solve(n)) for n in ns}
+        if order == "shuffled":
+            ns = data.draw(st.permutations(ns), label="order")
+        else:
+            ns = sorted(ns, reverse=order == "descending")
+        dp._TRIANGULAR.clear()
+        for n in ns:
+            # the consistency gate runs inside every solve
+            assert bits(dp.solve(ObservationModel.triangular(n))) == cold[n], n
+        assert dp._TRIANGULAR.steps == max(ns)
+
+    @pytest.mark.parametrize("name", [name for name in PIN_SOLVES if name.startswith("tri")])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_pins_hold_without_tables(self, name, warm):
+        want = json.loads(PIN_FILE.read_text())["solve"][name]
+        model = PIN_SOLVES[name]
+        dp._TRIANGULAR.clear()
+        if warm:
+            dp.solve(ObservationModel.triangular(1000))
+        sol = dp.solve(model)
+        assert " ".join(repr(t) for t in sol.policy.thresholds) == want["thresholds"]
+        assert sol.decomposition.jump.hex() == want["jump"]
+        assert abs(sol.decomposition.drift - want["drift"]) <= 1e-15
+        assert abs(sol.decomposition.total - want["total"]) <= 1e-15
+
+    def test_threads_solving_different_horizons_get_cold_results(self):
+        # more threads than cores, switching often, each extending the
+        # records or reading them while another extends them
+        ns = (120, 350, 500, 700, 260, 900)
+        cold = {n: bits(cold_solve(n)) for n in ns}
+        dp._TRIANGULAR.clear()
+        barrier = threading.Barrier(len(ns))
+        got = {}
+
+        def solve(n):
+            barrier.wait()
+            got[n] = bits(dp.solve(ObservationModel.triangular(n)))
+
+        threads = [threading.Thread(target=solve, args=(n,)) for n in ns]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == cold
+
+    def test_cap_refusal_does_not_depend_on_earlier_calls(self, monkeypatch):
+        dp.solve(ObservationModel.triangular(60))
+        steps = dp._TRIANGULAR.steps
+        monkeypatch.setattr(dp, "LATTICE_WIDTH_CAP", 40)
+        with pytest.raises(ResourceLimitError, match="lattice width 41"):
+            dp.solve(ObservationModel.triangular(41))
+        dp.solve(ObservationModel.triangular(40))
+        monkeypatch.setenv("STOPRULE_MAX_N", "30")
+        with pytest.raises(ResourceLimitError, match="n=31"):
+            dp.solve(ObservationModel.triangular(31))
+        assert bits(dp.solve(ObservationModel.triangular(30))) == bits(cold_solve(30))
+        dp._TRIANGULAR.clear()
+        with pytest.raises(ResourceLimitError, match="n=31"):
+            dp.solve(ObservationModel.triangular(31))
+        assert dp._TRIANGULAR.steps == 0 < steps
+
+    def test_interrupted_sweep_leaves_no_records(self, own_records, monkeypatch):
+        dp.solve(ObservationModel.triangular(20))
+        lattice_for = dp._lattice_for
+
+        def failing(model):
+            lat = lattice_for(model)
+
+            def stop_col(j, out):
+                raise KeyboardInterrupt
+
+            lat.stop_col = stop_col
+            return lat
+
+        monkeypatch.setattr(dp, "_lattice_for", failing)
+        with pytest.raises(KeyboardInterrupt):
+            dp.solve(ObservationModel.triangular(25))
+        assert own_records.steps == 0
+        monkeypatch.setattr(dp, "_lattice_for", lattice_for)
+        assert bits(dp.solve(ObservationModel.triangular(25))) == bits(cold_solve(25))
