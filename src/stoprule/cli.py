@@ -199,18 +199,7 @@ def _cmd_limit(args) -> int:
     chosen = [args.geometry is not None, args.lam is not None, args.theta is not None]
     if sum(chosen) != 1:
         raise StopRuleError("pick exactly one of --geometry, --lambda, --theta")
-    if args.geometry is not None:
-        theta = poisson.GEOMETRIES[args.geometry]
-        report = poisson.beta_star(theta)
-        payload = {
-            "geometry": args.geometry,
-            "beta_star": report.root,
-            "value": poisson.success_prob_boundary(theta, report.root),
-            "jump": poisson.jump_success(theta, report.root),
-            "drift": poisson.drift_success(theta, report.root),
-            "residual": report.residual,
-        }
-    elif args.lam is not None:
+    if args.lam is not None:
         d = poisson.rect_limit(args.lam, k_max=args.kmax)
         payload = {
             "lambda": args.lam,
@@ -220,12 +209,17 @@ def _cmd_limit(args) -> int:
             "truncation_error": poisson.rect_limit_tail_bound(args.lam, args.kmax),
         }
     else:
-        report = poisson.beta_star(args.theta)
-        payload = {
-            "theta": args.theta,
-            "beta_star": report.root,
-            "value": poisson.theta_limit(args.theta),
-        }
+        if args.geometry is not None:
+            theta, payload = poisson.GEOMETRIES[args.geometry], {"geometry": args.geometry}
+        else:
+            theta, payload = args.theta, {"theta": args.theta}
+        report = poisson.beta_star(theta)
+        payload["beta_star"] = report.root
+        payload["value"] = poisson.success_prob_boundary(theta, report.root)
+        if args.geometry is not None:
+            payload["jump"] = poisson.jump_success(theta, report.root)
+            payload["drift"] = poisson.drift_success(theta, report.root)
+            payload["residual"] = report.residual
     _emit(args, payload)
     return 0
 

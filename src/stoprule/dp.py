@@ -165,9 +165,8 @@ class _TriLattice:
 class _RectLattice:
     """X_j uniform on {1, ..., K}; record states 1 <= x <= K."""
 
-    def __init__(self, n: int, k: int):
-        self.n = n
-        self.k = k
+    def __init__(self, model: ObservationModel):
+        self.model, self.n, k = model, model.n, model.k
         # log P(X >= x) for x in [1..K]
         self._log_surv = np.log(k - np.arange(1, k + 1) + 1.0) - math.log(k)
         self._mask = np.empty(k + 1, dtype=bool)
@@ -179,8 +178,7 @@ class _RectLattice:
         _exp_to_cut(col, self._mask)
 
     def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
-        frac = np.clip((self.k - ys + 1.0) / self.k, 0.0, 1.0)
-        return frac ** j
+        return self.model.survival(1, ys - 1) ** j
 
 
 def _lattice_for(model: ObservationModel):
@@ -189,7 +187,7 @@ def _lattice_for(model: ObservationModel):
     x_max = model.support(model.n)[1]
     if x_max > LATTICE_WIDTH_CAP:  # refused before any column is allocated
         raise ResourceLimitError(f"lattice width {x_max} is above cap {LATTICE_WIDTH_CAP}")
-    return _TriLattice(model.n) if model.kind == TRIANGULAR else _RectLattice(model.n, model.k)
+    return _TriLattice(model.n) if model.kind == TRIANGULAR else _RectLattice(model)
 
 
 # ---------------------------------------------------------------------------

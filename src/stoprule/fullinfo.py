@@ -12,6 +12,7 @@ transform that maps an iid sample with atoms to an iid uniform one.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -40,21 +41,24 @@ __all__ = [
 # Roots cached by horizon distance m; index 0 unused.  Root m solves the level
 # equation from i = 1 at z = 1/(1 - x).  The brackets shrink with m (the root
 # sequence is strictly decreasing), so evaluations never leave the
-# overflow-safe region.
+# overflow-safe region.  The lock keeps threads that fill the cache at once
+# from appending the same root twice.
 _ROOTS: list[float] = [math.nan, 0.5]
+_ROOTS_LOCK = threading.Lock()
 
 
 def _threshold_roots(m_max: int) -> np.ndarray:
     from scipy import optimize
-    while len(_ROOTS) <= m_max:
-        m = len(_ROOTS)
-        root = optimize.brentq(
-            lambda x: level_sum(m, -math.log1p(-x)) - 1.0,
-            1e-17, _ROOTS[m - 1],
-            xtol=1e-16, rtol=4 * np.finfo(float).eps, maxiter=200,
-        )
-        _ROOTS.append(float(root))
-    return np.asarray(_ROOTS[: m_max + 1])
+    with _ROOTS_LOCK:
+        while len(_ROOTS) <= m_max:
+            m = len(_ROOTS)
+            root = optimize.brentq(
+                lambda x: level_sum(m, -math.log1p(-x)) - 1.0,
+                1e-17, _ROOTS[m - 1],
+                xtol=1e-16, rtol=4 * np.finfo(float).eps, maxiter=200,
+            )
+            _ROOTS.append(float(root))
+        return np.asarray(_ROOTS[: m_max + 1])
 
 
 def gm_optimal_thresholds(n: int) -> ThresholdPolicy:
@@ -117,34 +121,34 @@ def sakaguchi_value(n: int) -> float:
 
 def tie_probability(model: ObservationModel) -> float:
     """Probability that the sample minimum is attained more than once:
-    1 - n * sum_x P(X = x) P(X > x)^{n-1}.  Zero for continuous models."""
+    1 - n * sum_x P(X = x) P(X > x)^{n-1}, with P(X > x) read from the
+    model's survival function.  Zero for continuous models."""
     if model.kind == IID_UNIFORM01:
         return 0.0
     if model.kind == RECTANGULAR:
-        n, k = model.n, model.k
-        surv = model.survival(1, k - np.arange(k, dtype=float))  # x = k, ..., 1
-        with np.errstate(divide="ignore"):
-            surv = np.exp((n - 1) * np.log(surv)) if n > 1 else np.ones(k)
-        return 1.0 - (n / k) * float(np.sum(surv))
+        lo, hi = model.support(1)
+        x = np.arange(hi, lo - 1, -1, dtype=float)
+        surv = model.survival(1, x)
+        mass = model.survival(1, x - 1.0) - surv
+        return 1.0 - model.n * float(np.sum(mass * surv ** (model.n - 1)))
     raise UnsupportedModelError(f"tie probability needs an iid model, got {model.kind}")
 
 
 def tie_break_transform(values, uniforms, model: ObservationModel) -> np.ndarray:
     """Map observations X_j with possible atoms to Y_j = F(X_j) - [F(X_j) -
     F(X_j-)] U_j, which are iid uniform on [0, 1] and preserve the property
-    that the index of the Y-minimum attains the X-minimum."""
+    that the index of the Y-minimum attains the X-minimum.  F = 1 - survival."""
     x = np.asarray(values, dtype=float)
     u = np.asarray(uniforms, dtype=float)
     if x.shape != u.shape:
         raise DomainError(f"shape mismatch: {x.shape} vs {u.shape}")
-    if np.any(u < 0.0) or np.any(u > 1.0):
+    if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
         raise DomainError("uniforms must lie in [0, 1]")
     if model.kind == IID_UNIFORM01:
         return np.clip(x, 0.0, 1.0)
     if model.kind == RECTANGULAR:
-        k = model.k
-        f_hi = np.clip(np.floor(x), 0.0, k) / k
-        f_lo = np.clip(np.ceil(x) - 1.0, 0.0, k) / k
+        f_hi = 1.0 - model.survival(1, x)
+        f_lo = 1.0 - model.survival(1, np.ceil(x) - 1.0)
         # For U near 1, F(X) - p U can round down onto F(X-), the top of the
         # next lower atom's interval; keep Y strictly inside (F(X-), F(X)].
         return np.maximum(f_hi - (f_hi - f_lo) * u, np.nextafter(f_lo, f_hi))

@@ -90,7 +90,7 @@ def jump_success(theta: float, z: float) -> float:
     int_0^1 e^{-z v} theta v^{theta-1} dv = 1F1(theta; theta+1; -z).
     theta = 1, the rectangular geometry, gives (1 - e^{-z})/z, and theta = 1/2,
     the triangular one, int_0^1 e^{-z u^2} du = sqrt(pi) erf(sqrt(z))/(2 sqrt(z))."""
-    if z < 0:
+    if not z >= 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
     from scipy import special
     return float(special.hyp1f1(theta, theta + 1.0, -z))
@@ -103,7 +103,7 @@ def drift_success(theta: float, z: float) -> float:
     e^{-z} int_0^{sqrt(2z)} int_0^u e^{(u^2-v^2)/2} dv du.  Past _LARGE_AREA it
     is int_0^z e^{-y} jump(z - y) dy, an integrand below 1 for every z; past
     y ~ 745, e^{-y} underflows to 0."""
-    if z < 0:
+    if not z >= 0:
         raise DomainError(f"box area must be nonnegative, got {z}")
     if z > _LARGE_AREA:
         from scipy import integrate
@@ -177,7 +177,7 @@ def gm_limit_finite_T(T: float) -> float:
     truncated at T.  Defined for T >= beta_star(1)."""
     from scipy import special
     b = beta_star(1.0).root
-    if T < b:
+    if not T >= b:
         raise DomainError(f"T must be >= {b:.6f}, got {T}")
     tail = float(special.exp1(b)) - (0.0 if math.isinf(T) else float(special.exp1(T)))
     return math.exp(-b) + (math.exp(b) - 1.0 - b) * tail
@@ -357,17 +357,14 @@ def rect_limit_tail_bound(lam: float, k_max: int | None = None) -> float:
 
 
 def _auto_k_max(lam: float) -> int:
+    """Smallest k >= 8 with r^k (1 + 2.3 r/(1 - r)) <= r * _TAIL_TOL, r = e^{-lam}:
+    rect_limit_tail_bound(lam, k) is at most the left side, so k needs no search."""
     r = math.exp(-lam)
+    if r == 1.0:  # lam below about 5.6e-17: no truncation reaches the tolerance
+        raise ResourceLimitError(f"level series will not reach tol={_TAIL_TOL} at lam={lam}")
     # log((e^lam + 1.3) / (1 - r)) = lam + log1p(2.3 r / (1 - r))
     estimate = (lam + math.log1p(2.3 * r / -math.expm1(-lam)) - math.log(_TAIL_TOL)) / lam
-    if not math.isfinite(estimate):  # lam below about 5e-306
-        raise ResourceLimitError(f"level series will not reach tol={_TAIL_TOL} at lam={lam}")
-    k = max(8, math.ceil(estimate))
-    while rect_limit_tail_bound(lam, k) > _TAIL_TOL:
-        k = int(k * 1.25) + 8
-        if k > MAX_LEVELS:
-            raise ResourceLimitError(f"level series will not reach tol={_TAIL_TOL} at lam={lam}")
-    return k
+    return max(8, math.ceil(estimate))
 
 
 def _level_series(u: np.ndarray, lam: float, k_max: int) -> tuple[float, float]:

@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import json
 import math
+import sys
+import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,30 @@ class TestOptimalThresholds:
         pol = fullinfo.gm_optimal_thresholds(6)
         assert pol.is_nondecreasing()
         assert pol.thresholds[-1] == 1.0
+
+    def test_root_cache_filled_by_threads(self, monkeypatch):
+        # threads that fill an empty cache at once must each get the serial
+        # thresholds and leave one root per horizon distance
+        want = list(fullinfo.gm_optimal_thresholds(600).thresholds)
+        monkeypatch.setattr(fullinfo, "_ROOTS", [math.nan, 0.5])
+        start, got = threading.Barrier(4), []
+
+        def fill():
+            start.wait()
+            got.append(list(fullinfo.gm_optimal_thresholds(600).thresholds))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(fullinfo._ROOTS) == 600  # index 0 and m = 1..599
+        assert got == [want] * 4
 
     def test_step_cap(self, monkeypatch):
         # The roots cost O(n^2) time, so n above the solvers' step cap is
@@ -180,14 +207,17 @@ class TestTieProbability:
         ) / 4.0
         assert fullinfo.tie_probability(m) == pytest.approx(ties, abs=1e-15)
 
-    @pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (4, 4), (5, 2)])
+    # every n <= 4 with k <= 6, and one observation on a wide support, which
+    # never ties
+    @pytest.mark.parametrize(
+        "n,k", list(itertools.product(range(1, 5), range(1, 7))) + [(5, 2), (1, 1000)])
     def test_matches_enumeration(self, n, k):
         m = ObservationModel.rectangular(n, k)
         count = 0
         for combo in itertools.product(range(1, k + 1), repeat=n):
             if sum(1 for v in combo if v == min(combo)) >= 2:
                 count += 1
-        assert fullinfo.tie_probability(m) == pytest.approx(count / k**n, abs=1e-12)
+        assert abs(Fraction(fullinfo.tie_probability(m)) - Fraction(count, k**n)) <= 1e-15
 
     def test_square_support_ties_persist(self):
         # K = n keeps the tie probability away from zero
@@ -248,6 +278,18 @@ class TestTieBreakTransform:
         assert np.all((y >= 0.0) & (y <= 1.0))
         assert x[int(np.argmin(y))] == x.min()
 
+    def test_output_inside_atom_interval(self):
+        # Y lies in (F(x-), F(x)] with F = 1 - survival, and equals F(x) at U = 0
+        for k in range(1, 200):
+            m = ObservationModel.rectangular(2, k)
+            x = np.arange(1.0, k + 1.0)
+            f_hi, f_lo = 1.0 - m.survival(1, x), 1.0 - m.survival(1, x - 1.0)
+            for u in (0.0, 0.5, 1.0):
+                y = fullinfo.tie_break_transform(x, np.full(k, u), m)
+                assert np.all((f_lo < y) & (y <= f_hi)), (k, u)
+                if u == 0.0:
+                    assert np.array_equal(y, f_hi), k
+
     def test_output_uniformity(self):
         # Y must be exactly uniform-[0,1]; Kolmogorov-Smirnov at the 1e-3 level
         from scipy import stats
@@ -264,5 +306,8 @@ class TestTieBreakTransform:
         m = ObservationModel.rectangular(2, 2)
         with pytest.raises(DomainError):
             fullinfo.tie_break_transform([1.0], [0.5, 0.5], m)
+        for u in (1.5, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                fullinfo.tie_break_transform([1.0], [u], m)
         with pytest.raises(DomainError):
-            fullinfo.tie_break_transform([1.0], [1.5], m)
+            fullinfo.tie_break_transform([2.0], [math.nan], ObservationModel.rectangular(5, 5))

@@ -156,8 +156,9 @@ class TestBoxFunctions:
     def test_negative_area_rejected(self):
         for f in (poisson.jump_success, poisson.drift_success):
             for theta in (1.0, 0.5):
-                with pytest.raises(DomainError):
-                    f(theta, -0.1)
+                for z in (-0.1, math.nan):
+                    with pytest.raises(DomainError):
+                        f(theta, z)
 
     @pytest.mark.parametrize("z", [0.05, 0.3, 0.8, 1.7, 3.0])
     def test_rect_against_quadrature(self, z):
@@ -302,8 +303,9 @@ class TestBoundaryValues:
         assert poisson.gm_limit_finite_T(math.inf) == pytest.approx(
             poisson.samuels_value(), abs=1e-15
         )
-        with pytest.raises(DomainError):
-            poisson.gm_limit_finite_T(0.5)
+        for T in (0.5, math.nan):
+            with pytest.raises(DomainError):
+                poisson.gm_limit_finite_T(T)
 
     def test_finite_horizon_monotone(self):
         values = [poisson.gm_limit_finite_T(t) for t in (0.81, 1.0, 2.0, 5.0, 20.0)]
@@ -554,8 +556,11 @@ class TestRectLimit:
         # the cold-limit intensities of the benchmark and the default sweep grid
         lams = [float(f"{0.0029 + i * 1e-6:.6f}") for i in range(101)]
         lams += [0.01 + i * 0.01 for i in range(100)]
-        for lam in lams + [1.0, 0.37, 2.0, 50.0, 600.0]:
-            assert poisson._auto_k_max(lam) == old_k_max(lam, 1e-10)
+        lams += [1.0, 0.37, 2.0, 50.0, 600.0]
+        # and a log grid up to where the e^lam form overflows (about 686)
+        lams += [float(lam) for lam in np.logspace(-5, math.log10(680.0), 400)]
+        for lam in lams:
+            assert poisson._auto_k_max(lam) == old_k_max(lam, 1e-10), lam
 
     def test_level_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -564,8 +569,9 @@ class TestRectLimit:
             poisson.rect_limit(5e-6)
         with pytest.raises(ResourceLimitError):
             poisson.rect_roots(poisson.MAX_LEVELS + 1)
-        # below about 5e-306 the first truncation estimate is infinite
-        for lam in (5e-324, 1e-310, 1e-307, 4e-306, 1e-305):
+        # where e^-lam rounds to 1 (lam below about 5.6e-17) no truncation
+        # reaches the tolerance; near 4.5e-306 the old search loop overflowed
+        for lam in (5e-324, 1e-310, 1e-307, 4e-306, 4.5e-306, 1e-305, 1e-100, 1e-20, 5e-17):
             with pytest.raises(ResourceLimitError, match="will not reach"):
                 poisson.rect_limit(lam)
             with pytest.raises(ResourceLimitError, match="will not reach"):

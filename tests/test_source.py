@@ -17,6 +17,7 @@ PAPER_API = {
     "fullinfo.tie_break_transform",  # observations with atoms to iid uniforms
     "mc.scaling_check",  # the scaled sample minimum against its limit law
     "poisson.rect_general_boundary",  # the level limit under any cutoff sequence
+    "poisson.theta_limit",  # the trend family's limit value at its optimal area
 }
 
 
