@@ -3,6 +3,8 @@
 The optimal rule stops at the first record below a step-dependent threshold.
 Each threshold solves a one-dimensional root equation that depends only on the
 number of remaining observations, so roots are cached by horizon distance.
+They are solved by poisson.brentq, a port of scipy.optimize.brentq that
+returns the same bits without importing scipy.
 The module also evaluates the success functional for arbitrary monotone
 thresholds (split into jump and drift parts), Sakaguchi's value formula, the
 tie probability of discrete iid models, and the randomized tie-breaking
@@ -27,7 +29,7 @@ from .models import (
     UnsupportedModelError,
     check_step_cap,
 )
-from .poisson import level_sum
+from .poisson import brentq, level_sum
 
 __all__ = [
     "gm_optimal_thresholds",
@@ -48,16 +50,13 @@ _ROOTS_LOCK = threading.Lock()
 
 
 def _threshold_roots(m_max: int) -> np.ndarray:
-    from scipy import optimize
     with _ROOTS_LOCK:
         while len(_ROOTS) <= m_max:
             m = len(_ROOTS)
-            root = optimize.brentq(
-                lambda x: level_sum(m, -math.log1p(-x)) - 1.0,
-                1e-17, _ROOTS[m - 1],
-                xtol=1e-16, rtol=4 * np.finfo(float).eps, maxiter=200,
-            )
-            _ROOTS.append(float(root))
+            root, _ = brentq(lambda x: level_sum(m, -math.log1p(-x)) - 1.0,
+                             1e-17, _ROOTS[m - 1],
+                             xtol=1e-16, rtol=4 * np.finfo(float).eps, maxiter=200)
+            _ROOTS.append(root)
         return np.asarray(_ROOTS[: m_max + 1])
 
 
@@ -137,7 +136,9 @@ def tie_probability(model: ObservationModel) -> float:
 def tie_break_transform(values, uniforms, model: ObservationModel) -> np.ndarray:
     """Map observations X_j with possible atoms to Y_j = F(X_j) - [F(X_j) -
     F(X_j-)] U_j, which are iid uniform on [0, 1] and preserve the property
-    that the index of the Y-minimum attains the X-minimum.  F = 1 - survival."""
+    that the index of the Y-minimum attains the X-minimum.  F = 1 - survival.
+    NaN, an observation off the support and a non-integer under a discrete
+    model raise DomainError."""
     x = np.asarray(values, dtype=float)
     u = np.asarray(uniforms, dtype=float)
     if x.shape != u.shape:
@@ -145,10 +146,15 @@ def tie_break_transform(values, uniforms, model: ObservationModel) -> np.ndarray
     if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
         raise DomainError("uniforms must lie in [0, 1]")
     if model.kind == IID_UNIFORM01:
-        return np.clip(x, 0.0, 1.0)
+        if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
+            raise DomainError("observations must lie in [0, 1]")
+        return x.copy()
     if model.kind == RECTANGULAR:
+        lo, hi = model.support(1)
+        if not np.all((x >= lo) & (x <= hi) & (x == np.floor(x))):  # NaN fails too
+            raise DomainError(f"observations must be integers in {lo}..{hi}")
         f_hi = 1.0 - model.survival(1, x)
-        f_lo = 1.0 - model.survival(1, np.ceil(x) - 1.0)
+        f_lo = 1.0 - model.survival(1, x - 1.0)
         # For U near 1, F(X) - p U can round down onto F(X-), the top of the
         # next lower atom's interval; keep Y strictly inside (F(X-), F(X)].
         return np.maximum(f_hi - (f_hi - f_lo) * u, np.nextafter(f_lo, f_hi))

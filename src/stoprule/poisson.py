@@ -37,6 +37,7 @@ __all__ = [
     "GEOMETRIES",
     "jump_success",
     "drift_success",
+    "brentq",
     "beta_star",
     "success_prob_boundary",
     "samuels_value",
@@ -135,20 +136,74 @@ def _passage(theta: float, beta: float) -> float:
 # Optimal boundary parameter and values
 # ---------------------------------------------------------------------------
 
+def brentq(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int) -> tuple[float, int]:
+    """(root, iterations) of f on the bracket [lo, hi] by Brent's method, the
+    algorithm of scipy.optimize.brentq in its operation order, so it returns
+    the same double after the same number of iterations.  A zero of f at an
+    endpoint is returned after 0 iterations.  It stops once half the bracket is
+    below (xtol + rtol |x|)/2.  No sign change, a NaN value of f and maxiter
+    reached without convergence raise PrecisionError."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise PrecisionError(f"root solve: f({x!r}) is NaN")
+        return fx
+
+    # Python floats throughout, so that a division by zero raises, not warns
+    xpre, xcur, xtol, rtol = float(lo), float(hi), float(xtol), float(rtol)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre, 0
+    if fcur == 0:
+        return xcur, 0
+    if (fpre < 0) == (fcur < 0):
+        raise PrecisionError(f"root solve: f has the same sign at {lo!r} and {hi!r}")
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, maxiter + 1):
+        if (fpre < 0) != (fcur < 0):  # the root lies between xpre and xcur
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the smaller |f| at xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, iterations
+        stry = math.inf  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an infinite or NaN step in C: bisect
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise PrecisionError(f"root solve did not converge in {maxiter} iterations")
+
+
 def beta_star(theta: float) -> RootReport:
     """Optimal box-area parameter of the beta(theta, 1) chain, for any finite
     theta > 0: the root in (0, 3) of e^z drift(z) = 1, at which
-    drift(z) = e^{-z}.  theta = 1 is the rectangular geometry and theta = 1/2
-    the triangular one."""
-    from scipy import optimize
+    drift(z) = e^{-z}, solved by brentq.  theta = 1 is the rectangular
+    geometry and theta = 1/2 the triangular one."""
     _check_theta(theta)
     lo, hi = 1e-9, 3.0
-    root, res = optimize.brentq(
-        lambda z: _balance(theta, z) - 1.0,
-        lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps,
-        maxiter=200, full_output=True,
-    )
-    return RootReport(float(root), float(_balance(theta, root) - 1.0), (lo, hi), res.iterations)
+    root, iterations = brentq(lambda z: _balance(theta, z) - 1.0,
+                              lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200)
+    return RootReport(root, _balance(theta, root) - 1.0, (lo, hi), iterations)
 
 
 def success_prob_boundary(theta: float, beta: float) -> float:

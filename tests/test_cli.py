@@ -679,9 +679,19 @@ def test_integer_level_commands_load_no_scipy(command):
     assert _scipy_loaded_by(command) == set()
 
 
+@pytest.mark.parametrize("command", [
+    "fullinfo --n 20",
+    "thresholds --model uniform01 --n 20",
+    "simulate --model uniform01 --n 5 --reps 100",
+])
+def test_full_information_commands_load_no_scipy(command):
+    # the threshold roots are solved by poisson.brentq, not scipy.optimize
+    assert _scipy_loaded_by(command) == set()
+
+
 @pytest.mark.parametrize("command, loads, skips", [
     ("value --model triangular --n 20", {"special"}, {"optimize", "integrate"}),
-    ("fullinfo --n 20", {"optimize"}, set()),
+    ("limit --geometry rect", {"integrate"}, set()),
 ])
 def test_scipy_commands_load_only_what_they_call(command, loads, skips):
     loaded = _scipy_loaded_by(command)

@@ -46,6 +46,20 @@ class TestOptimalThresholds:
         assert pol.is_nondecreasing()
         assert pol.thresholds[-1] == 1.0
 
+    def test_roots_bit_identical_to_scipy_brentq(self):
+        # every cached root, and the iterations that found it, as
+        # scipy.optimize.brentq gives them on the same bracket
+        from scipy import optimize
+
+        roots = fullinfo._threshold_roots(3000)
+        opts = dict(xtol=1e-16, rtol=4 * np.finfo(float).eps, maxiter=200)
+        for m in range(2, 3001):
+            def f(x):
+                return poisson.level_sum(m, -math.log1p(-x)) - 1.0
+            want, res = optimize.brentq(f, 1e-17, roots[m - 1], full_output=True, **opts)
+            assert poisson.brentq(f, 1e-17, roots[m - 1], **opts) == (want, res.iterations), m
+            assert roots[m].hex() == want.hex(), m
+
     def test_root_cache_filled_by_threads(self, monkeypatch):
         # threads that fill an empty cache at once must each get the serial
         # thresholds and leave one root per horizon distance
@@ -311,3 +325,10 @@ class TestTieBreakTransform:
                 fullinfo.tie_break_transform([1.0], [u], m)
         with pytest.raises(DomainError):
             fullinfo.tie_break_transform([2.0], [math.nan], ObservationModel.rectangular(5, 5))
+        # observations: NaN, off the support {1..5}, or between two atoms
+        for x in (math.nan, 7.0, -1.0, 0.0, 2.5):
+            with pytest.raises(DomainError):
+                fullinfo.tie_break_transform([x], [0.5], ObservationModel.rectangular(3, 5))
+        for x in (math.nan, -0.1, 1.5):
+            with pytest.raises(DomainError):
+                fullinfo.tie_break_transform([x], [0.5], ObservationModel.iid_uniform01(3))

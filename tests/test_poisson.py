@@ -265,6 +265,49 @@ class TestBetaStar:
         assert poisson.beta_star(0.5).root == pytest.approx(0.76066049640683363763, abs=2e-16)
 
 
+class TestBrentq:
+    OPTS = dict(xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200)
+
+    def test_beta_star_bit_identical_to_scipy_brentq(self):
+        for theta in np.geomspace(1e-6, 1e5, 50):
+            theta = float(theta)
+
+            def f(z):
+                return poisson._balance(theta, z) - 1.0
+            root, res = optimize.brentq(f, 1e-9, 3.0, full_output=True, **self.OPTS)
+            want = (root, f(root), (1e-9, 3.0), res.iterations)
+            rep = poisson.beta_star(theta)
+            assert (rep.root, rep.residual, rep.bracket, rep.iterations) == want, theta
+            assert rep.root.hex() == root.hex(), theta
+
+    def test_endpoint_root(self):
+        # a zero at either end is returned at once, as by scipy, whose
+        # iteration count is not set on that path
+        for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
+            assert poisson.brentq(lambda x: x, lo, hi, **self.OPTS) == (0.0, 0)
+            assert optimize.brentq(lambda x: x, lo, hi, **self.OPTS) == 0.0
+
+    @pytest.mark.parametrize("f", [
+        lambda x: 1e-200 * (x - 0.3) ** 3,
+        lambda x: 1e-170 * (math.exp(x) - math.exp(0.3)),
+    ])
+    def test_underflowing_interpolation_bisects_as_scipy(self, f):
+        # the interpolation denominator underflows to 0: scipy's C code then
+        # gets an infinite or NaN step and bisects, and so must the port
+        root, res = optimize.brentq(f, 0.0, 1.0, full_output=True, **self.OPTS)
+        assert poisson.brentq(f, 0.0, 1.0, **self.OPTS) == (root, res.iterations)
+
+    @pytest.mark.parametrize("f, lo, hi, maxiter", [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 200),  # no sign change
+        (lambda x: math.nan if 0.2 < x < 0.9 else x - 0.25, 0.0, 1.0, 200),  # NaN inside
+        (lambda x: math.nan, 0.0, 1.0, 200),  # NaN at the ends
+        (lambda x: x - 0.3, 0.0, 1.0, 1),  # out of iterations
+    ], ids=["same-sign", "nan-inside", "nan-ends", "maxiter"])
+    def test_failures_raise_precision_error(self, f, lo, hi, maxiter):
+        with pytest.raises(PrecisionError):
+            poisson.brentq(f, lo, hi, xtol=1e-15, rtol=1e-15, maxiter=maxiter)
+
+
 class TestBoundaryValues:
     def test_samuels_value(self):
         assert poisson.samuels_value() == pytest.approx(0.580164, abs=1e-6)
