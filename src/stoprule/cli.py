@@ -62,7 +62,8 @@ def _write(args, chunks):
 
 
 # --model names and the kinds they build; each kind reads its parameters
-# (models.MODEL_PARAMS) from the flags of the same name.
+# (models.MODEL_PARAMS) from the flags of the same name.  Every flag given is
+# passed on, so ObservationModel refuses one its kind does not take.
 _MODEL_FLAGS = {
     "triangular": models.TRIANGULAR,
     "rectangular": models.RECTANGULAR,
@@ -72,17 +73,17 @@ _MODEL_FLAGS = {
     "trend-scaled": models.TREND_SCALED,
     "trend-power": models.TREND_POWER,
 }
+_PARAM_TYPES = {"k": int, "p": float, "rho": float, "theta": float}
 
 
 def _model_from_args(args) -> ObservationModel:
-    if args.n is None:
-        raise StopRuleError("--n is required")
     kind = _MODEL_FLAGS[args.model]
-    params = {name: getattr(args, name) for name in models.MODEL_PARAMS[kind]}
-    if "k" in params and params["k"] is None:
-        params["k"] = args.n  # the rectangular support defaults to 1..n
-    for name, value in params.items():
-        if value is None:
+    params = {name: getattr(args, name) for name in _PARAM_TYPES
+              if getattr(args, name) is not None}
+    if kind == models.RECTANGULAR:
+        params.setdefault("k", args.n)  # the rectangular support defaults to 1..n
+    for name in models.MODEL_PARAMS[kind]:
+        if name not in params:
             raise StopRuleError(f"--{name} is required for the {args.model} model")
     return ObservationModel(kind, args.n, **params)
 
@@ -180,8 +181,6 @@ def _cmd_fullinfo(args) -> int:
         _emit(args, payload, rows, ("n", "v_bar"))
         return 0
     n = args.n
-    if n is None:
-        raise StopRuleError("--n is required")
     policy = fullinfo.gm_optimal_thresholds(n)
     d = fullinfo.gm_success(n, policy.thresholds)
     payload = {
@@ -196,9 +195,6 @@ def _cmd_fullinfo(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    chosen = [args.geometry is not None, args.lam is not None, args.theta is not None]
-    if sum(chosen) != 1:
-        raise StopRuleError("pick exactly one of --geometry, --lambda, --theta")
     if args.lam is not None:
         d = poisson.rect_limit(args.lam, k_max=args.kmax)
         payload = {
@@ -335,11 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_model_flags(p):
         p.add_argument("--model", required=True, choices=_MODEL_FLAGS)
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--p", type=float)
-        p.add_argument("--rho", type=float)
-        p.add_argument("--theta", type=float)
+        p.add_argument("--n", type=int, required=True)
+        for name, kind in _PARAM_TYPES.items():
+            p.add_argument(f"--{name}", type=kind)
 
     def add_output_flags(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -358,16 +352,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("fullinfo", help="iid uniform-[0,1] game values")
-    p.add_argument("--n", type=int)
-    p.add_argument("--sweep", help="n grid lo:hi:step; emits n,v_bar rows")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--n", type=int)
+    mode.add_argument("--sweep", help="n grid lo:hi:step; emits n,v_bar rows")
     add_output_flags(p)
     p.set_defaults(func=_cmd_fullinfo)
 
     p = sub.add_parser("limit", help="Poisson-limit constants")
-    p.add_argument("--geometry", choices=poisson.GEOMETRIES)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--kmax", type=int)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--geometry", choices=poisson.GEOMETRIES)
+    mode.add_argument("--lambda", dest="lam", type=float)
+    mode.add_argument("--theta", type=float)
+    p.add_argument("--kmax", type=int, help="levels kept by --lambda")
     add_output_flags(p)
     p.set_defaults(func=_cmd_limit)
 
@@ -401,6 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "limit" and args.kmax is not None and args.lam is None:
+        parser.error("limit: --kmax applies only with --lambda")
     try:
         return args.func(args)
     except (StopRuleError, OSError) as exc:

@@ -54,8 +54,7 @@ def _threshold_roots(m_max: int) -> np.ndarray:
         while len(_ROOTS) <= m_max:
             m = len(_ROOTS)
             root, _ = brentq(lambda x: level_sum(m, -math.log1p(-x)) - 1.0,
-                             1e-17, _ROOTS[m - 1],
-                             xtol=1e-16, rtol=4 * np.finfo(float).eps, maxiter=200)
+                             1e-17, _ROOTS[m - 1], 1e-16)
             _ROOTS.append(root)
         return np.asarray(_ROOTS[: m_max + 1])
 
@@ -93,9 +92,9 @@ def gm_success(n: int, b) -> Decomposition:
         jump  = (1 - sum_j (1-b_j)^n) / n
         drift = sum_{j<n} sum_{i<=j} [ (1-b_i)^j / (j(n-j)) - (1-b_i)^n / (n(n-j)) ]
 
-    The two displayed parts cancel analytically for degenerate inputs such as
-    all-zero thresholds, so individual parts can be negative there; the total
-    is always the exact success probability.
+    The two parts are an algebraic split, not the first-passage masses of
+    stopping by jump or by drift: the jump part is negative at the optimal
+    thresholds from n = 6 on.  Only the total is the success probability.
     """
     b = np.asarray(b, dtype=float)
     _check_gm_thresholds(n, b)

@@ -4,7 +4,7 @@ Observation models describe a finite sequence of independent draws and carry
 each draw's law (support, atoms, sampler, survival function); threshold
 policies encode "stop at a record at or below b_j"; value tables hold the
 stop/continuation probabilities on the running-minimum lattice; decompositions
-split a success probability into jump and drift first-passage mass.
+split a success probability into jump and drift parts.
 """
 
 from __future__ import annotations
@@ -342,12 +342,12 @@ class ValueTables:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Success probability split by first-passage mode: total = jump + drift.
+    """Success probability split in two parts: total = jump + drift.
 
-    Solver-produced decompositions have jump >= 0, drift >= 0 and total in
-    [0, 1].  Degenerate threshold inputs to the closed-form evaluators can
-    produce negative displayed components that cancel; the constructor only
-    requires both parts to be finite.
+    dp and poisson split by first-passage mode, stopping by jump or by drift
+    into the stopping region, so their parts are >= 0.  fullinfo.gm_success
+    gives an algebraic split whose parts can be negative, even at the optimal
+    thresholds.  The constructor only requires both parts to be finite.
     """
 
     jump: float

@@ -136,13 +136,16 @@ def _passage(theta: float, beta: float) -> float:
 # Optimal boundary parameter and values
 # ---------------------------------------------------------------------------
 
-def brentq(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int) -> tuple[float, int]:
+_BRENT_RTOL, _BRENT_MAXITER = float(4 * np.finfo(float).eps), 200  # of every root solve
+
+
+def brentq(f, lo: float, hi: float, xtol: float) -> tuple[float, int]:
     """(root, iterations) of f on the bracket [lo, hi] by Brent's method, the
     algorithm of scipy.optimize.brentq in its operation order, so it returns
-    the same double after the same number of iterations.  A zero of f at an
-    endpoint is returned after 0 iterations.  It stops once half the bracket is
-    below (xtol + rtol |x|)/2.  No sign change, a NaN value of f and maxiter
-    reached without convergence raise PrecisionError."""
+    the same double after the same iterations as scipy with rtol=_BRENT_RTOL
+    and maxiter=_BRENT_MAXITER.  It stops once half the bracket is below
+    (xtol + _BRENT_RTOL |x|)/2; a zero of f at an endpoint takes 0 iterations.
+    No sign change, a NaN f and no convergence raise PrecisionError."""
     def value(x):
         fx = float(f(x))
         if math.isnan(fx):
@@ -150,7 +153,7 @@ def brentq(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int) -> t
         return fx
 
     # Python floats throughout, so that a division by zero raises, not warns
-    xpre, xcur, xtol, rtol = float(lo), float(hi), float(xtol), float(rtol)
+    xpre, xcur, xtol, rtol = float(lo), float(hi), float(xtol), _BRENT_RTOL
     fpre, fcur = value(xpre), value(xcur)
     if fpre == 0:
         return xpre, 0
@@ -159,7 +162,7 @@ def brentq(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int) -> t
     if (fpre < 0) == (fcur < 0):
         raise PrecisionError(f"root solve: f has the same sign at {lo!r} and {hi!r}")
     xblk = fblk = spre = scur = 0.0
-    for iterations in range(1, maxiter + 1):
+    for iterations in range(1, _BRENT_MAXITER + 1):
         if (fpre < 0) != (fcur < 0):  # the root lies between xpre and xcur
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -191,7 +194,7 @@ def brentq(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int) -> t
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise PrecisionError(f"root solve did not converge in {maxiter} iterations")
+    raise PrecisionError(f"root solve did not converge in {_BRENT_MAXITER} iterations")
 
 
 def beta_star(theta: float) -> RootReport:
@@ -201,8 +204,7 @@ def beta_star(theta: float) -> RootReport:
     geometry and theta = 1/2 the triangular one."""
     _check_theta(theta)
     lo, hi = 1e-9, 3.0
-    root, iterations = brentq(lambda z: _balance(theta, z) - 1.0,
-                              lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200)
+    root, iterations = brentq(lambda z: _balance(theta, z) - 1.0, lo, hi, 1e-15)
     return RootReport(root, _balance(theta, root) - 1.0, (lo, hi), iterations)
 
 

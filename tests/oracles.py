@@ -8,6 +8,9 @@ replaced with chunked, threaded scans; it must give the same SimResult.
 jump_series_double is the O(k_max^2) jump series of the integer-level limit
 that the moment series of poisson._level_series replaced. ladder_residual is
 the level equation of one root, which the brentq ladder of the tests solves.
+gm_first_passage is the split by first passage of the full-information
+success probability, and tie_probability the exact P(tie) of any
+independent integer-valued model.
 """
 
 import itertools
@@ -15,7 +18,7 @@ import math
 
 import numpy as np
 
-from stoprule import mc
+from stoprule import fullinfo, mc
 from stoprule.models import DomainError, ThresholdPolicy
 
 
@@ -115,3 +118,36 @@ def ladder_residual(k: int, z: float) -> float:
     # (z^j - 1)/j summed equals the residual + 1 shifted; expm1 keeps z ~ 1 exact.
     lnz = math.log(z)
     return float(np.sum(np.expm1(js * lnz) / js)) - 1.0
+
+
+def gm_first_passage(n, b):
+    """(jump, drift) of the rule "stop at the first record <= b_j" on n iid
+    uniform-[0,1] observations, split by first passage: the jump mass stops at
+    step j with every earlier draw above b_j, which has probability
+    q_j^{j-1} (1 - q_j^{n-j+1}) / (n-j+1) with q_j = 1 - b_j; the drift mass is
+    the rest of fullinfo.gm_success's total."""
+    q = 1.0 - np.asarray(b, dtype=float)
+    j = np.arange(1, n + 1)
+    left = n - j + 1
+    jump = math.fsum(q ** (j - 1) * (1.0 - q ** left) / left)
+    return jump, fullinfo.gm_success(n, b).total - jump
+
+
+def tie_probability(model, chunk=256):
+    """P(the sample minimum is attained more than once) for independent
+    integer-valued X_1..X_n: 1 - sum_x sum_j P(X_j = x) prod_{i != j} P(X_i > x),
+    read from model.survival alone, with the products over i != j taken from
+    prefix and suffix products, chunk values at a time."""
+    n = model.n
+    lo, hi = zip(*(model.support(j) for j in range(1, n + 1)))
+    steps = np.arange(1, n + 1, dtype=float)[:, None]
+    unique = []
+    for start in range(min(lo), max(hi) + 1, chunk):
+        x = np.arange(start, min(start + chunk, max(hi) + 1), dtype=float)[None, :]
+        surv = model.survival(steps, x)
+        mass = model.survival(steps, x - 1.0) - surv
+        one = np.ones_like(x)
+        before = np.cumprod(np.vstack([one, surv[:-1]]), axis=0)  # prod over i < j
+        after = np.cumprod(np.vstack([one, surv[:0:-1]]), axis=0)[::-1]  # over i > j
+        unique.append(float(np.sum(mass * before * after)))
+    return 1.0 - math.fsum(unique)

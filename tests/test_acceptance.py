@@ -21,6 +21,12 @@ rect_limit(lambda).  Unlike the triangular gap, this one closes like 1/n: a
 fit v_n = a + b/n + c/n^2 on n = 200..4000 puts a within 4e-8 of the limit at
 lambda = 0.25, 0.5, 1 and 2, with b between 0.29 and 0.33.  The test requires
 |a - rect_limit(lambda)| <= 1e-6 and b > 0.
+
+Criterion 14 is the full-information counterpart of criteria 5 and 13: the
+optimal value sakaguchi_value(n) of n iid uniform observations must tend to
+samuels_value().  Its gap closes like 1/n, so a fit v_n = a + b/n + c/n^2 on
+n = 250..3000 puts a within 1.4e-10 of the limit, with b = 0.276.  The test
+requires |a - samuels_value()| <= 1e-8 and b > 0.
 """
 
 import math
@@ -290,3 +296,17 @@ def test_c13_integer_level_limit_off_unit_intensity():
         fits.append(f"{lam}: a-L={a - limit:+.1e} b={b:.3f}")
     report("13 integer-level limit", f"fit a + b/n + c/n^2 on n = 200..4000, "
            f"{'; '.join(fits)} [{time.time()-t0:.1f}s]")
+
+
+def test_c14_full_information_limit():
+    t0 = time.time()
+    ns = [250, 500, 1000, 2000, 3000]
+    x = np.asarray(ns, dtype=float)
+    design = np.column_stack([np.ones_like(x), 1.0 / x, x ** -2.0])
+    vals = [fullinfo.sakaguchi_value(n) for n in ns]
+    limit = poisson.samuels_value()
+    a, b, _ = np.linalg.lstsq(design, vals, rcond=None)[0]
+    assert abs(a - limit) <= 1e-8, f"extrapolated {a:.12f} vs limit {limit:.12f}"
+    assert b > 0, "not converging from above"
+    report("14 full-information limit", f"fit a + b/n + c/n^2 on n = 250..3000, "
+           f"a-L={a - limit:+.1e} b={b:.3f} [{time.time()-t0:.2f}s]")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoprule import cli
+from stoprule import cli, models
 from stoprule.models import ObservationModel, ThresholdPolicy
 
 
@@ -57,9 +57,10 @@ class TestLimit:
         assert math.exp(-1.0) <= obj["value"] <= 1.0
 
     def test_exactly_one_mode_required(self, capsys):
-        code, _, err = run_cli(capsys, "limit")
-        assert code == 1
-        assert "error" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["limit"])
+        assert exc.value.code == 2
+        assert "one of the arguments --geometry --lambda --theta is required" in capsys.readouterr().err
 
     def test_large_lambda(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "--lambda", "700")
@@ -302,6 +303,47 @@ def test_every_model_flag(capsys, tmp_path, name, flags, ctor, required):
         assert json.loads(out)["model"] == ObservationModel.rectangular(6, 6).to_json()
 
 
+# A value for each model parameter flag, and every (command, --model, flag)
+# where the kind does not take the flag: ObservationModel must refuse it.
+FLAG_VALUES = {"k": "3", "p": "0.3", "rho": "0.5", "theta": "2"}
+FOREIGN_FLAGS = [(command, name, flag)
+                 for command in ("thresholds", "value", "simulate")
+                 for name, kind in cli._MODEL_FLAGS.items()
+                 for flag in FLAG_VALUES if flag not in models.MODEL_PARAMS[kind]]
+
+
+@pytest.mark.parametrize("command,name,flag", FOREIGN_FLAGS,
+                         ids=["-".join(case) for case in FOREIGN_FLAGS])
+def test_flag_the_model_does_not_take_exits_1(capsys, command, name, flag):
+    own = [arg for param in models.MODEL_PARAMS[cli._MODEL_FLAGS[name]]
+           for arg in (f"--{param}", FLAG_VALUES[param])]
+    code, out, err = run_cli(capsys, command, "--model", name, "--n", "5", *own,
+                             f"--{flag}", FLAG_VALUES[flag])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"takes no parameter {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "limit",
+    "limit --geometry rect --lambda 1",
+    "limit --lambda 1 --theta 1",
+    "limit --geometry rect --kmax 5",
+    "limit --theta 1 --kmax 5",
+    "fullinfo",
+    "fullinfo --n 5 --sweep 1:3:1",
+    "thresholds --model uniform01",
+    "value --model triangular",
+    "simulate --model rectangular --k 5",
+])
+def test_flag_grammar_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: " in err
+
+
 class TestErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -317,9 +359,6 @@ class TestErrors:
         code, _, err = run_cli(capsys, "value", "--model", "pyramid", "--n", "5")
         assert code == 1
         assert "--p" in err
-        code, _, err = run_cli(capsys, "thresholds", "--model", "uniform01")
-        assert code == 1
-        assert "--n" in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
@@ -396,7 +435,7 @@ class TestErrors:
         ("sweep", "--target", "lambda", "--grid", "0:1e300:1e-300"),
         ("fullinfo", "--sweep", "1:nan:1"),
         ("sweep", "--target", "lambda", "--grid="),
-        ("fullinfo", "--sweep=", "--n", "3"),
+        ("fullinfo", "--sweep="),
     ], ids=["hi-inf", "hi-nan", "step-inf", "lo-inf", "count-overflow", "fullinfo-nan",
             "empty", "fullinfo-empty"])
     def test_non_finite_grid_exits_1(self, capsys, args):

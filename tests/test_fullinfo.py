@@ -12,15 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from stoprule import fullinfo, poisson
+from stoprule import dp, fullinfo, poisson
 from stoprule.models import (
     DEFAULT_MAX_N,
     DomainError,
     InvalidPolicyError,
     ObservationModel,
     ResourceLimitError,
+    ThresholdPolicy,
     UnsupportedModelError,
 )
+
+import oracles
 
 
 class TestOptimalThresholds:
@@ -57,7 +60,7 @@ class TestOptimalThresholds:
             def f(x):
                 return poisson.level_sum(m, -math.log1p(-x)) - 1.0
             want, res = optimize.brentq(f, 1e-17, roots[m - 1], full_output=True, **opts)
-            assert poisson.brentq(f, 1e-17, roots[m - 1], **opts) == (want, res.iterations), m
+            assert poisson.brentq(f, 1e-17, roots[m - 1], 1e-16) == (want, res.iterations), m
             assert roots[m].hex() == want.hex(), m
 
     def test_root_cache_filled_by_threads(self, monkeypatch):
@@ -149,6 +152,19 @@ class TestGmSuccess:
         with pytest.raises(InvalidPolicyError):
             fullinfo.gm_success(3, [0.2, math.nan, 1.0])
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 20])
+    def test_first_passage_oracle_matches_fine_lattice(self, n):
+        # The same rule on rectangular(n, K), K = 4*10^5, with thresholds
+        # floor(K b_j): dp.policy_value splits its value by first passage,
+        # within 4.4e-6 of the continuous game's split at these n.
+        K = 400_000
+        b = fullinfo.gm_optimal_thresholds(n).thresholds
+        policy = ThresholdPolicy([math.floor(K * x) for x in b[:-1]] + [math.inf])
+        d = dp.policy_value(ObservationModel.rectangular(n, K), policy)
+        jump, drift = oracles.gm_first_passage(n, b)
+        assert d.jump == pytest.approx(jump, abs=1e-5)
+        assert d.drift == pytest.approx(drift, abs=1e-5)
+
     def test_parts_bounded_for_monotone_valid_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -239,6 +255,20 @@ class TestTieProbability:
                   for n in (50, 200, 800)]
         assert all(v > 0.4 for v in values)
         assert values[-1] == pytest.approx(1.0 - 1.0 / (math.e - 1.0), abs=2e-3)
+
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_matches_survival_oracle(self, n):
+        m = ObservationModel.rectangular(n, n)
+        assert fullinfo.tie_probability(m) == pytest.approx(oracles.tie_probability(m), abs=1e-15)
+
+    def test_triangular_ties_vanish(self):
+        # X_j uniform on j..n: the minimum ties ever less often, while
+        # sqrt(n) P(tie) still rises (0.62599 at n = 200, 0.62653 at 1000);
+        # its limit is not asserted
+        p200, p1000 = (oracles.tie_probability(ObservationModel.triangular(n))
+                       for n in (200, 1000))
+        assert p1000 < p200 < 0.05
+        assert math.sqrt(200) * p200 < math.sqrt(1000) * p1000
 
     def test_wide_support_ties_vanish(self):
         assert fullinfo.tie_probability(ObservationModel.rectangular(10, 10**6)) < 1e-4

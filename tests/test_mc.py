@@ -16,7 +16,7 @@ from stoprule.models import (
     UnsupportedModelError,
 )
 
-from oracles import policy_oracle, simulate_oracle
+from oracles import policy_oracle, simulate_oracle, tie_probability
 
 
 def run(model, reps=150_000, seed=0, **kw):
@@ -232,6 +232,14 @@ class TestAgreementWithExactSolvers:
         m = ObservationModel.rectangular(30, 30)
         delta = fullinfo.tie_probability(m)
         r = run(m, seed=17)
+        se = math.sqrt(delta * (1 - delta) / r.replications)
+        assert abs(r.tie_rate - delta) < 4 * se
+
+    def test_triangular_tie_rate_matches_oracle(self):
+        m = ObservationModel.triangular(50)
+        delta = tie_probability(m)
+        assert delta == pytest.approx(0.0882401744, abs=1e-10)
+        r = run(m)
         se = math.sqrt(delta * (1 - delta) / r.replications)
         assert abs(r.tie_rate - delta) < 4 * se
 

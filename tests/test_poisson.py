@@ -266,6 +266,7 @@ class TestBetaStar:
 
 
 class TestBrentq:
+    # scipy at the stopping rule poisson.brentq fixes, with beta_star's xtol
     OPTS = dict(xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200)
 
     def test_beta_star_bit_identical_to_scipy_brentq(self):
@@ -284,7 +285,7 @@ class TestBrentq:
         # a zero at either end is returned at once, as by scipy, whose
         # iteration count is not set on that path
         for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
-            assert poisson.brentq(lambda x: x, lo, hi, **self.OPTS) == (0.0, 0)
+            assert poisson.brentq(lambda x: x, lo, hi, 1e-15) == (0.0, 0)
             assert optimize.brentq(lambda x: x, lo, hi, **self.OPTS) == 0.0
 
     @pytest.mark.parametrize("f", [
@@ -295,7 +296,7 @@ class TestBrentq:
         # the interpolation denominator underflows to 0: scipy's C code then
         # gets an infinite or NaN step and bisects, and so must the port
         root, res = optimize.brentq(f, 0.0, 1.0, full_output=True, **self.OPTS)
-        assert poisson.brentq(f, 0.0, 1.0, **self.OPTS) == (root, res.iterations)
+        assert poisson.brentq(f, 0.0, 1.0, 1e-15) == (root, res.iterations)
 
     @pytest.mark.parametrize("f, lo, hi, maxiter", [
         (lambda x: x * x + 1.0, -1.0, 1.0, 200),  # no sign change
@@ -303,9 +304,10 @@ class TestBrentq:
         (lambda x: math.nan, 0.0, 1.0, 200),  # NaN at the ends
         (lambda x: x - 0.3, 0.0, 1.0, 1),  # out of iterations
     ], ids=["same-sign", "nan-inside", "nan-ends", "maxiter"])
-    def test_failures_raise_precision_error(self, f, lo, hi, maxiter):
+    def test_failures_raise_precision_error(self, monkeypatch, f, lo, hi, maxiter):
+        monkeypatch.setattr(poisson, "_BRENT_MAXITER", maxiter)
         with pytest.raises(PrecisionError):
-            poisson.brentq(f, lo, hi, xtol=1e-15, rtol=1e-15, maxiter=maxiter)
+            poisson.brentq(f, lo, hi, 1e-15)
 
 
 class TestBoundaryValues:
