@@ -54,6 +54,8 @@ __all__ = [
 # Box areas above which the drift functions integrate against the jump
 # functions: the balance series needs more terms than it keeps from z ~ 250.
 _LARGE_AREA = 50.0
+# Areas from which _passage integrates at theta = 1: e^beta overflows past 709.78.
+_E1_CUT = 700.0
 
 
 def _balance(theta: float, z: float) -> float:
@@ -115,10 +117,19 @@ def drift_success(theta: float, z: float) -> float:
 
 def _passage(theta: float, beta: float) -> float:
     """P(the self-similar boundary with area parameter beta is first passed
-    by a jump) = beta^theta e^beta Gamma(1-theta, beta)
-    = int_0^inf e^{-u} (1 + u/beta)^{-theta} du, integrated in y = ln u: split
-    at ln beta, where (1 + u/beta)^{-theta} bends, and cut at y = 6, past
-    which the integrand is below e^{-397}."""
+    by a jump) = beta^theta e^beta Gamma(1-theta, beta).  The two named
+    geometries have closed forms: theta = 1 is beta e^beta E1(beta) (exp1)
+    below _E1_CUT, past which e^beta nears overflow, and theta = 1/2 is
+    sqrt(pi beta) erfcx(sqrt(beta)), with sqrt(pi) and sqrt(beta) taken apart
+    so that a subnormal beta keeps its digits.  Every other case integrates
+    int_0^inf e^{-u} (1 + u/beta)^{-theta} du in y = ln u: split at ln beta,
+    where (1 + u/beta)^{-theta} bends, and cut at y = 6, past which the
+    integrand is below e^{-397}."""
+    from scipy import special
+    if theta == 1.0 and beta < _E1_CUT:
+        return beta * math.exp(beta) * float(special.exp1(beta))
+    if theta == 0.5:
+        return math.sqrt(math.pi) * math.sqrt(beta) * float(special.erfcx(math.sqrt(beta)))
     from scipy import integrate
     log_beta = math.log(beta)
 
@@ -217,8 +228,8 @@ def success_prob_boundary(theta: float, beta: float) -> float:
     b(t) = t + sqrt(2 beta).
     """
     _check_theta(theta)
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
     j, d = jump_success(theta, beta), drift_success(theta, beta)
     return d + (j - d) * _passage(theta, beta)
 

@@ -729,8 +729,13 @@ def test_full_information_commands_load_no_scipy(command):
 
 
 @pytest.mark.parametrize("command, loads, skips", [
-    ("value --model triangular --n 20", {"special"}, {"optimize", "integrate"}),
-    ("limit --geometry rect", {"integrate"}, set()),
+    # gammaln of the triangular law, and the closed-form passage of the two
+    # named box geometries (theta = 1 and 1/2)
+    *((command, {"special"}, {"optimize", "integrate"})
+      for command in ("value --model triangular --n 20", "limit --geometry rect",
+                      "limit --geometry tri", "limit --theta 0.5", "limit --theta 1", "check")),
+    # the passage integral of any other theta
+    ("limit --theta 3", {"integrate"}, set()),
 ])
 def test_scipy_commands_load_only_what_they_call(command, loads, skips):
     loaded = _scipy_loaded_by(command)

@@ -310,6 +310,42 @@ class TestBrentq:
             poisson.brentq(f, lo, hi, 1e-15)
 
 
+def mpmath_passage(theta: float, beta: float) -> float:
+    """beta^theta e^beta Gamma(1-theta, beta) at 40 digits, by gammainc."""
+    with mpmath.workdps(40):
+        t, b = mpmath.mpf(theta), mpmath.mpf(beta)
+        return float(b ** t * mpmath.exp(b) * mpmath.gammainc(1 - t, b))
+
+
+class TestPassage:
+    """The closed forms of the two named geometries: beta e^beta E1(beta) at
+    theta = 1 and sqrt(pi beta) erfcx(sqrt(beta)) at theta = 1/2."""
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_closed_forms_against_mpmath(self, theta):
+        for beta in np.geomspace(1e-8, 316.0, 200):
+            beta = float(beta)
+            assert poisson._passage(theta, beta) == pytest.approx(
+                mpmath_passage(theta, beta), rel=2e-15, abs=0), beta
+
+    @pytest.mark.parametrize("beta", [699.0, 700.0, 709.9, 710.0])
+    def test_rect_around_the_overflow_cut(self, beta):
+        # e^beta overflows past 709.78, so the quadrature takes over there
+        got = poisson._passage(1.0, beta)
+        assert math.isfinite(got)
+        assert got == pytest.approx(mpmath_passage(1.0, beta), rel=1e-14, abs=0)
+
+    def test_subnormal_area(self):
+        beta = 5e-324
+        # beta E1(beta) = 3.68e-321 is itself subnormal: within one step of it
+        rect = poisson._passage(1.0, beta)
+        assert rect > 0.0
+        assert rect == pytest.approx(mpmath_passage(1.0, beta), rel=0, abs=5e-324)
+        # sqrt(pi) sqrt(beta) keeps the digits that sqrt(pi beta) loses
+        assert poisson._passage(0.5, beta) == pytest.approx(
+            mpmath_passage(0.5, beta), rel=2e-15, abs=0)
+
+
 class TestBoundaryValues:
     def test_samuels_value(self):
         assert poisson.samuels_value() == pytest.approx(0.580164, abs=1e-6)
@@ -338,6 +374,12 @@ class TestBoundaryValues:
         for theta in (1.0, 0.5):
             assert poisson.success_prob_boundary(theta, beta) == pytest.approx(
                 mpmath_boundary_value(theta, beta), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_infinite_beta_rejected(self, theta):
+        # an infinite area would make the passage term inf * 0 = NaN
+        with pytest.raises(DomainError):
+            poisson.success_prob_boundary(theta, math.inf)
 
     def test_finite_horizon_variant(self):
         b = poisson.beta_star(1.0).root
