@@ -7,7 +7,7 @@ Carlo harness, and cold-start timings of the CLI.
 Imports stoprule from --src (default: this checkout's src/) and times every
 row of ROWS: four DP passes, the 90 triangular solves of the acceptance c05
 grid, the four 500k-replication simulations of the perfbench mc_simulate
-workload, and the bare `import stoprule.cli` and nine CLI commands, each in a
+workload, and the bare `import stoprule.cli` and eleven CLI commands, each in a
 fresh interpreter with --src on PYTHONPATH, timed as the wall time of the
 whole process.  Every timed triangular solve starts from empty triangular
 records (`dp._TRIANGULAR`, where the source has them), so a single solve
@@ -38,8 +38,9 @@ import tracemalloc
 REPS = 7
 MC_REPS = 500_000
 COLD = ("", "sweep --target rectangular --grid 1000:2000:500",
-        "sweep --target triangular --grid 5000:9000:4000",
+        "sweep --target triangular --grid 5000:9000:4000", "value --model triangular --n 5000",
         "simulate --model rectangular --n 50 --k 50 --reps 500000 --seed 1",
+        "simulate --model triangular --n 50 --reps 500000 --seed 1",
         "simulate --model uniform01 --n 20 --reps 500000 --seed 1",
         "limit --lambda 0.003", "limit --geometry tri", "limit --theta 3", "fullinfo --n 2000",
         "check")

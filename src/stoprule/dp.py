@@ -11,7 +11,8 @@ The jump mass at step j is P(M_{j-1} > b_j) * sum_{x <= b_j} P(X_j = x) s(j,x)
 and the drift mass collects P(M_m = y) v(m, y) over the window b_m < y <=
 b_{m+1}; their total is checked against the independent backward-induction
 value.  Stop columns and P(M_m >= y) are exp of a log-space closed form
-(gammaln differences for the triangular kind), so no intermediate product
+(log-gamma differences for the triangular kind, from a log Gamma table at the
+integers that equals scipy's gammaln bit for bit), so no intermediate product
 under/overflows even at n ~ 10^4.  The logs that do not depend on the step are
 computed once per lattice, and exp is called only up to the last entry whose
 argument is >= -746: below that exp is exactly +0.0, which is written
@@ -124,13 +125,44 @@ def _exp_to_cut(arg: np.ndarray, mask: np.ndarray) -> int:
     return end
 
 
+# cephes lgam, which scipy.special.gammaln calls: log(sqrt(2 pi)) and the
+# coefficients of its Stirling series in 1/x^2, highest power first, below
+# x = 1000 and from there on.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_A_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                 0.0833333333333333333333)
+
+
+def _log_gamma_ints(m: int) -> np.ndarray:
+    """log Gamma(k) for k = 0..m-1 (inf at 0), bit for bit what
+    scipy.special.gammaln returns at these integers for m <= 10^8: the log of
+    the exact factorial below 13, cephes' Stirling form from 13 on, in its
+    operation order and with the libm log of math.log (numpy's log differs in
+    the last bit at some integers)."""
+    out = np.empty(m)
+    out[: min(m, 13)] = [math.inf, *(math.log(math.factorial(k)) for k in range(12))][:m]
+    x = np.arange(13.0, m)
+    log_x = np.fromiter(map(math.log, x.tolist()), float, len(x))
+    p = 1.0 / (x * x)
+    series = np.empty_like(x)
+    large = 1000 - 13  # index of x = 1000 in x
+    for coeffs, part in ((_LGAM_A, slice(None, large)), (_LGAM_A_LARGE, slice(large, None))):
+        acc = coeffs[0]
+        for c in coeffs[1:]:  # Horner, as cephes polevl
+            acc = acc * p[part] + c
+        series[part] = acc
+    out[13:] = (x - 0.5) * log_x - x + _LS2PI + series / x
+    return out
+
+
 class _TriLattice:
     """X_j uniform on {j, ..., n}; reachable record states j <= x <= n."""
 
     def __init__(self, n: int):
-        from scipy.special import gammaln
         self.n = n
-        self._lg = gammaln(np.arange(n + 3, dtype=float))
+        self._lg = _log_gamma_ints(n + 3)
         x = np.arange(n + 1)
         self._x = x.astype(float)
         self._log_room = np.log(n - x + 1.0)

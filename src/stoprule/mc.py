@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -98,6 +97,9 @@ def _map_blocks(scan, model: ObservationModel, seed: int, reps: int, cols: int) 
         buf = np.empty((max(1, min(rows, _CHUNK_TARGET // cols)), cols))
         for start in range(0, rows, len(buf)):
             yield model.sample(g.random(out=buf[: rows - start]))
+
+    # imported here: it loads logging, which commands that do not sample never need
+    from concurrent.futures import ThreadPoolExecutor
 
     # sched_getaffinity, which honours CPU pinning, exists only on some systems.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -687,24 +687,33 @@ def test_snapshot():
         assert _stdout_of(command) == stdout, command
 
 
-# Run one command in a fresh interpreter and print the scipy subpackages it
-# loaded.  Each scipy import lives in the function that needs it, so a
-# command pays only for the parts it calls.
-_SCIPY_PROBE = """
+# Run one command in a fresh interpreter and print the modules it loaded.
+# Each scipy import lives in the function that needs it, so a command pays
+# only for the parts it calls.
+_MODULE_PROBE = """
 import contextlib, io, sys
 from stoprule import cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-print(*sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}))
+print(*sys.modules)
 """
 
 
-def _scipy_loaded_by(command: str) -> set:
+def _modules_loaded_by(command: str) -> set:
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *command.split()],
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *command.split()],
                           env=env, capture_output=True, text=True, check=True)
     return set(proc.stdout.split())
+
+
+def _scipy_loaded_by(command: str) -> set:
+    return {m.split(".")[1] for m in _modules_loaded_by(command) if m.startswith("scipy.")}
+
+
+def test_bare_import_loads_no_thread_pool():
+    # mc imports concurrent.futures, and with it logging, only to sample
+    assert not _modules_loaded_by("") & {"concurrent.futures", "logging"}
 
 
 @pytest.mark.parametrize("command", [
@@ -728,14 +737,29 @@ def test_full_information_commands_load_no_scipy(command):
     assert _scipy_loaded_by(command) == set()
 
 
+@pytest.mark.parametrize("command", [
+    "value --model triangular --n 20",
+    "value --model triangular --n 20 --policy {policy}",
+    "sweep --target triangular --grid 50:150:50",
+    "thresholds --model triangular --n 20",
+    "simulate --model triangular --n 20 --reps 100",
+])
+def test_triangular_commands_load_no_scipy(command, tmp_path):
+    # log Gamma at the integers comes from dp._log_gamma_ints, not gammaln
+    policy = tmp_path / "pol.json"
+    policy.write_text(json.dumps(ThresholdPolicy((*range(1, 20), math.inf)).to_json()))
+    assert _scipy_loaded_by(command.format(policy=policy)) == set()
+
+
+# Explicit ids, so that a case keeps its name when another is dropped.
 @pytest.mark.parametrize("command, loads, skips", [
-    # gammaln of the triangular law, and the closed-form passage of the two
-    # named box geometries (theta = 1 and 1/2)
-    *((command, {"special"}, {"optimize", "integrate"})
-      for command in ("value --model triangular --n 20", "limit --geometry rect",
-                      "limit --geometry tri", "limit --theta 0.5", "limit --theta 1", "check")),
+    # the closed-form passage of the two named box geometries (theta = 1 and 1/2)
+    *(pytest.param(command, {"special"}, {"optimize", "integrate"},
+                   id=f"{command}-loads{i}-skips{i}")
+      for i, command in enumerate(("limit --geometry rect", "limit --geometry tri",
+                                   "limit --theta 0.5", "limit --theta 1", "check"), start=1)),
     # the passage integral of any other theta
-    ("limit --theta 3", {"integrate"}, set()),
+    pytest.param("limit --theta 3", {"integrate"}, set(), id="limit --theta 3-loads6-skips6"),
 ])
 def test_scipy_commands_load_only_what_they_call(command, loads, skips):
     loaded = _scipy_loaded_by(command)

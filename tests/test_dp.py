@@ -546,6 +546,17 @@ def reference_stop_cols(model):
             yield j, col, arg
 
 
+@pytest.mark.parametrize("m", [*range(16), 986, 987, 988, 999, 1000, 1001, 1002,
+                               dp.LATTICE_WIDTH_CAP + 3])
+def test_log_gamma_table_is_scipy_gammaln_bit_for_bit(m):
+    # Short tables around the end of the factorial part (k < 13) and the
+    # switch of series at k = 1000, and every integer a triangular lattice
+    # can read: 0..LATTICE_WIDTH_CAP + 2.
+    got, want = dp._log_gamma_ints(m), gammaln(np.arange(m, dtype=float))
+    assert np.all(got == want)  # inf at k = 0 included
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("model", [
     ObservationModel.triangular(1),
     ObservationModel.triangular(2),
