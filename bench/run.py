@@ -7,9 +7,11 @@ Carlo harness, and cold-start timings of the CLI.
 Imports stoprule from --src (default: this checkout's src/) and times every
 row of ROWS: four DP passes, the 90 triangular solves of the acceptance c05
 grid, the four 500k-replication simulations of the perfbench mc_simulate
-workload, and the bare `import stoprule.cli` and eleven CLI commands, each in a
+workload, and the bare `import stoprule.cli` and twelve CLI commands, each in a
 fresh interpreter with --src on PYTHONPATH, timed as the wall time of the
-whole process.  Every timed triangular solve starts from empty triangular
+whole process.  The cold `--policy FILE` row reads the perturbed policy of
+triangular(5000) that the in-process policy_value row evaluates, written to a
+temporary file.  Every timed triangular solve starts from empty triangular
 records (`dp._TRIANGULAR`, where the source has them), so a single solve
 times one whole backward pass and the grid row one pass to its largest n.
 
@@ -32,6 +34,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -39,6 +42,7 @@ REPS = 7
 MC_REPS = 500_000
 COLD = ("", "sweep --target rectangular --grid 1000:2000:500",
         "sweep --target triangular --grid 5000:9000:4000", "value --model triangular --n 5000",
+        "value --model triangular --n 5000 --policy FILE",
         "simulate --model rectangular --n 50 --k 50 --reps 500000 --seed 1",
         "simulate --model triangular --n 50 --reps 500000 --seed 1",
         "simulate --model uniform01 --n 20 --reps 500000 --seed 1",
@@ -110,9 +114,10 @@ def perturbed(thresholds) -> tuple:
     return tuple(out) + (math.inf,)
 
 
-def rows(src: str):
+def rows(src: str, tmp: str):
     """(name, call, extra) per row of ROWS: call() runs the row once and
-    returns its output, extra(output) gives the row's extra fields."""
+    returns its output, extra(output) gives the row's extra fields.  Files
+    that cold rows read are written to the directory tmp."""
     sys.path.insert(0, src)
     from stoprule import dp, mc
     from stoprule.models import ObservationModel, ThresholdPolicy
@@ -155,8 +160,15 @@ def rows(src: str):
         return call, extra
 
     def cold(command):
+        argv = command.split()
+        if "FILE" in argv:
+            path = os.path.join(tmp, "policy.json")
+            with open(path, "w") as fh:
+                json.dump(perturbed_policy(model(("triangular", 5000))).to_json(), fh)
+            argv[argv.index("FILE")] = path
+
         def call():
-            proc = subprocess.run([sys.executable, "-c", PROBE, *command.split()],
+            proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
                                   env={**os.environ, "PYTHONPATH": src},
                                   capture_output=True, check=True)
             return proc.stdout, proc.stderr.decode().splitlines()[-1].split()
@@ -180,22 +192,23 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     column = {}
-    for name, call, extra in rows(os.path.abspath(args.src)):
-        first = call()
-        cell = extra(first)
-        times = []
-        for _ in range(REPS):
-            t0 = time.perf_counter()
-            output = call()
-            times.append(time.perf_counter() - t0)
-            if output != first:
-                raise SystemExit(f"{name}: output differs between runs")
-        q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
-        column[name] = {"median_s": round(med, 4), "iqr_s": round(q3 - q1, 4), **cell}
-        shown = (f"peak {cell['peak_traced_mb']:.1f} MB" if "peak_traced_mb" in cell
-                 else " ".join(cell.get("scipy", ())))
-        print(f"{args.label:>8}  {name:<66} {med:7.3f} s  (IQR {q3 - q1:.3f})  {shown}",
-              flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, call, extra in rows(os.path.abspath(args.src), tmp):
+            first = call()
+            cell = extra(first)
+            times = []
+            for _ in range(REPS):
+                t0 = time.perf_counter()
+                output = call()
+                times.append(time.perf_counter() - t0)
+                if output != first:
+                    raise SystemExit(f"{name}: output differs between runs")
+            q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
+            column[name] = {"median_s": round(med, 4), "iqr_s": round(q3 - q1, 4), **cell}
+            shown = (f"peak {cell['peak_traced_mb']:.1f} MB" if "peak_traced_mb" in cell
+                     else " ".join(cell.get("scipy", ())))
+            print(f"{args.label:>8}  {name:<66} {med:7.3f} s  (IQR {q3 - q1:.3f})  {shown}",
+                  flush=True)
 
     merge_column(args.out, args.label, column)
     return 0

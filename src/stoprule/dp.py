@@ -21,6 +21,16 @@ nondecreasing thresholds the drift windows are disjoint, so the sweep only
 records each window's step and v(m, y); one P(M_m >= y) call and one fsum
 after the sweep give the drift mass.
 
+Each step touches only the cells its outputs read.  A policy pass fills the
+columns of step j only on [lo_j, b_{j+1}]: the jump sum reads s(j, .) up to
+b_j, the drift window reads v(j, .) on (b_j, b_{j+1}], and step j - 1 reads
+both only up to b_j.  Its cumsums are prefix scans and every other operation
+is elementwise, so each entry written has the bits of a whole-column pass.
+The optimal pass needs whole columns for the backward sum, but it searches
+the threshold only over the prefix that went through exp: past it s is +0.0,
+while v(j, x) >= s(j+1, lo_{j+1}) / size_{j+1} = 1 / size_{j+1} > 0 on
+[lo_{j+1}, hi], so no cell there can have s >= v.
+
 The work is split in two halves.  The backward half (`_Sweep.advance`) keeps
 per-step records by steps left r = n - j: threshold, jump sum, backward sum
 and drift-window values, plus the frontier's two columns, so it can go on
@@ -164,23 +174,25 @@ class _TriLattice:
         self.n = n
         self._lg = _log_gamma_ints(n + 3)
         x = np.arange(n + 1)
-        self._x = x.astype(float)
+        self._steps = np.arange(-1.0, n)  # x - j - 1 for x = j, j + 1, ...
         self._log_room = np.log(n - x + 1.0)
         self._lg_room = self._lg[n - x + 2]
         self._mask = np.empty(n + 1, dtype=bool)
 
-    def stop_col(self, j: int, out: np.ndarray) -> None:
-        """s(j, x) = prod_{i=0}^{x-j-1} (n-x+1)/(n-j-i) for x in [j..n],
-        written to out[j:]."""
+    def stop_col(self, j: int, out: np.ndarray) -> int:
+        """s(j, x) = prod_{i=0}^{x-j-1} (n-x+1)/(n-j-i) for x in [j, len(out)),
+        written to out[j:].  Returns the end of the prefix that went through
+        exp: s is +0.0 from there on."""
         col = out[j:]
-        np.subtract(self._x[j:], j + 1, out=col)
-        np.multiply(col, self._log_room[j:], out=col)
-        np.add(col, self._lg_room[j:], out=col)
+        top = len(out)
+        np.multiply(self._steps[: len(col)], self._log_room[j:top], out=col)
+        np.add(col, self._lg_room[j:top], out=col)
         np.subtract(col, self._lg[self.n - j + 1], out=col)
-        col = col[: _exp_to_cut(col, self._mask)]
+        end = _exp_to_cut(col, self._mask)
         # Clip float overshoot from the lgamma differences (values are
         # probabilities, mathematically <= 1).
-        np.minimum(col, 1.0, out=col)
+        np.minimum(col[:end], 1.0, out=col[:end])
+        return j + end
 
     def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
         """P(M_j >= y) for an integer array y (entries may reach n + 1),
@@ -203,11 +215,12 @@ class _RectLattice:
         self._log_surv = np.log(k - np.arange(1, k + 1) + 1.0) - math.log(k)
         self._mask = np.empty(k + 1, dtype=bool)
 
-    def stop_col(self, j: int, out: np.ndarray) -> None:
-        """s(j, x) = ((K-x+1)/K)^(n-j), written to out[1:]."""
+    def stop_col(self, j: int, out: np.ndarray) -> int:
+        """s(j, x) = ((K-x+1)/K)^(n-j) for x in [1, len(out)), written to
+        out[1:].  Returns the end of the prefix that went through exp."""
         col = out[1:]
-        np.multiply(self.n - j, self._log_surv, out=col)
-        _exp_to_cut(col, self._mask)
+        np.multiply(self.n - j, self._log_surv[: len(col)], out=col)
+        return 1 + _exp_to_cut(col, self._mask)
 
     def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
         return self.model.survival(1, ys - 1) ** j
@@ -274,7 +287,16 @@ class _Sweep:
         rule; with a policy's thresholds it evaluates that rule (the
         continuation chain is then "stop at every future record").  The
         steps already recorded must be the last steps of model too, and the
-        columns no wider than its lattice."""
+        columns no wider than its lattice.
+
+        A policy pass fills the columns of step j only on [lo_j, min(hi,
+        max(lo_j, b_{j+1}))] (b_n at the last step), the cells that its jump
+        sum, its drift window and the step before read; so its frontier
+        columns are partial and cannot be extended.  The optimal pass fills
+        whole columns, which the backward sum needs, but searches s >= v only
+        below the stop column's exp cut: past the cut s = +0.0, while
+        v >= s(j+1, lo_{j+1}) / size = 1 / size > 0 on [lo_{j+1}, hi], and
+        the cells below lo_{j+1} lie inside the cut (s(j, lo_j) = 1)."""
         n, x_max = model.n, model.support(model.n)[1]
         start = self.steps
         self._grow(x_max + 1, n)
@@ -285,71 +307,75 @@ class _Sweep:
             self.y_b[:] = x_max - b.astype(np.int64)
         # Two stop and two continuation columns, swapped every step.  Entries
         # below the support are never written, so cont stays 0 there; the
-        # recurrence fills cont[lo1:] and cont[lo:lo1] is zeroed.
+        # recurrence fills cont[lo1:end] and cont[lo:lo1] is zeroed.
         s_col, s_next = np.empty(x_max + 1), self.stop
         cont, cont_next = np.zeros(x_max + 1), self.cont
         w = np.empty(x_max + 1)
         tail = np.empty(x_max + 1)
-        # (hi1 - x) / size = P(X_{j+1} > x) for x in the support; rebuilt only
-        # when the support moves (every step for triangular, once for rectangular)
+        # P(X_{j+1} > x) = (x_max - x) / size on the support (both kinds have
+        # hi = x_max at every step).  Rebuilt only when the support moves:
+        # every step for triangular, once for rectangular, whose ends only
+        # fall as r grows.
+        room = np.arange(x_max, -1.0, -1.0)
         p_above = np.empty(x_max + 1)
         above_support = None
         hit = np.empty(x_max + 1, dtype=bool)
-        xs = np.arange(x_max + 1, dtype=float)
         try:
             for r in range(start, n):
                 j = n - r
                 lo, hi = model.support(j)
                 self.size[r] = hi - lo + 1
-                lat.stop_col(j, s_col)
+                # a policy reads step j only up to b_{j+1} (b_n at the last step)
+                top = hi if optimal else x_max - int(self.y_b[r - 1 if r else 0])
+                end = min(hi, max(lo, top)) + 1
+                cut = lat.stop_col(j, s_col[:end])
                 if r:
                     lo1, hi1 = model.support(j + 1)
                     size = hi1 - lo1 + 1
                     cont[lo:lo1] = 0.0
-                    acc, pt = w[lo1:], tail[lo1:]
+                    acc, pt = w[lo1:end], tail[lo1:end]
                     if optimal:
                         np.maximum(s_next[lo1:], cont_next[lo1:], out=acc)
-                        np.cumsum(acc, out=acc)
+                        np.add.accumulate(acc, out=acc)
                         self.vsum[r - 1] = acc[-1]
                     else:
-                        np.cumsum(s_next[lo1:], out=acc)
+                        np.add.accumulate(s_next[lo1:end], out=acc)
                     np.divide(acc, size, out=acc)
                     if above_support != (lo1, hi1):
                         above_support = (lo1, hi1)
-                        np.subtract(hi1, xs[lo1:], out=p_above[lo1:])
-                        np.divide(p_above[lo1:], size, out=p_above[lo1:])
-                    np.multiply(p_above[lo1:], cont_next[lo1:], out=pt)
-                    np.add(acc, pt, out=cont[lo1:])
-                    np.minimum(cont[lo1:], 1.0, out=cont[lo1:])
+                        np.divide(room[lo1:end], size, out=p_above[lo1:end])
+                    np.multiply(p_above[lo1:end], cont_next[lo1:end], out=pt)
+                    np.add(acc, pt, out=cont[lo1:end])
+                    np.minimum(cont[lo1:end], 1.0, out=cont[lo1:end])
 
                 if optimal:
-                    # largest x with s >= v
-                    np.greater_equal(s_col[lo:], cont[lo:], out=hit[lo:])
-                    self.y_b[r] = hit[lo:][::-1].argmax()
+                    # largest x with s >= v, which lies below the exp cut
+                    np.greater_equal(s_col[lo:cut], cont[lo:cut], out=hit[lo:cut])
+                    self.y_b[r] = x_max + 1 - cut + hit[lo:cut][::-1].argmax()
                 bj = x_max - int(self.y_b[r])
                 if bj >= lo:
-                    self.ssum[r] = np.sum(s_col[lo : bj + 1])
+                    self.ssum[r] = np.add.reduce(s_col[lo : bj + 1])
 
                 # Drift mass at y in the window (b_j, b_{j+1}] is
                 # P(M_j = y) v(j, y).  Nondecreasing thresholds make the
                 # windows disjoint, so each y keeps its window's step.
                 window = slice(bj + 1, x_max - int(self.y_b[r - 1]) + 1 if r else 0)
                 if window.stop > window.start:
-                    if self.drift_r[window].any():
+                    if np.logical_or.reduce(self.drift_r[window]):
                         self.overlap_from = min(self.overlap_from, r)
                     else:
                         self.drift_r[window] = r
                         self.drift_cont[window] = cont[window]
 
                 if tables is not None:
-                    tables[0][j, lo:] = s_col[lo:]
-                    tables[1][j, lo:] = cont[lo:]
+                    tables[0][j, lo:end] = s_col[lo:end]
+                    tables[1][j, lo:end] = cont[lo:end]
                 s_col, s_next = s_next, s_col
                 cont, cont_next = cont_next, cont
             if optimal:  # the frontier's backward sum, as its next step would form it
                 lo = model.support(1)[0]
                 np.maximum(s_next[lo:], cont_next[lo:], out=w[lo:])
-                self.vsum[n - 1] = np.cumsum(w[lo:], out=w[lo:])[-1]
+                self.vsum[n - 1] = np.add.accumulate(w[lo:], out=w[lo:])[-1]
         except BaseException:
             self.clear()  # a half-swept frontier must not be extended later
             raise

@@ -382,6 +382,8 @@ def _log_roots(k_stop: int) -> np.ndarray:
 
 
 def _check_levels(k_max: int) -> None:
+    if k_max < 1:
+        raise DomainError(f"k_max must be >= 1, got {k_max}")
     if k_max > MAX_LEVELS:
         raise ResourceLimitError(f"k_max={k_max} exceeds the cap of {MAX_LEVELS} levels")
 
@@ -396,11 +398,9 @@ def rect_roots(k_max: int, lam: float = 1.0) -> BoundaryLadder:
     """Ladder of boundary roots z_k and cutoffs t_k = 1 - ln(z_k)/lam for the
     integer-level model with intensity lam.  Level-1 stopping is always
     optimal (t_1 = 0); roots at or above e^lam are clamped there.  A k_max
-    above MAX_LEVELS raises ResourceLimitError."""
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
-    _check_lam(lam)
+    below 1 raises DomainError, one above MAX_LEVELS ResourceLimitError."""
     _check_levels(k_max)
+    _check_lam(lam)
     roots = np.exp(_log_roots(k_max))
     np.minimum(roots, math.exp(lam), out=roots)
     cutoffs = 1.0 - np.log(roots) / lam
@@ -466,18 +466,18 @@ def rect_limit(lam: float, k_max: int | None = None) -> Decomposition:
     k_max defaults to the smallest truncation whose geometric tail bound is
     below _TAIL_TOL; an explicit k_max that cannot meet it raises
     PrecisionError.  A k_max, explicit or automatic, above MAX_LEVELS raises
-    ResourceLimitError.
+    ResourceLimitError, and an explicit one below 1 DomainError.
     """
     _check_lam(lam)
     required = _auto_k_max(lam)
-    if k_max is None:
-        k_max = required
-    elif rect_limit_tail_bound(lam, k_max) > _TAIL_TOL:
+    explicit = k_max is not None
+    k_max = k_max if explicit else required
+    _check_levels(k_max)  # before the tail bound, whose r ** k_max overflows for k_max < 0
+    if explicit and rect_limit_tail_bound(lam, k_max) > _TAIL_TOL:
         raise PrecisionError(
             f"k_max={k_max} leaves tail above tol={_TAIL_TOL}; need k_max >= {required}",
             required_k_max=required,
         )
-    _check_levels(k_max)
     u = _log_roots(k_max + 1)
     np.minimum(u, lam, out=u)
     return Decomposition(*_level_series(u, lam, k_max))

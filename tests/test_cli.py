@@ -128,6 +128,19 @@ class TestRoots:
 
 
 @pytest.mark.parametrize("args", [
+    ("limit", "--lambda", "700", "--kmax", "-4"),
+    ("limit", "--lambda", "1", "--kmax", "-4"),
+], ids=["lambda-700", "lambda-1"])
+def test_kmax_below_one_exits_1(capsys, args):
+    # --kmax -4 at lambda 700 once overflowed r ** k_max in the tail bound
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "k_max must be >= 1" in err
+
+
+@pytest.mark.parametrize("args", [
     ("roots", "--kmax", "6000000"),
     ("limit", "--lambda", "1", "--kmax", "6000000"),
 ], ids=["roots", "limit"])

@@ -210,9 +210,11 @@ class TestSolve:
             stop_col = lat.stop_col
 
             def ones_at_step_3(j, out):
-                stop_col(j, out)
+                cut = stop_col(j, out)
                 if j == 3:
                     out[j:] = 1.0
+                    return len(out)  # no entry of the column is 0 any more
+                return cut
 
             lat.stop_col = ones_at_step_3
             return lat
@@ -458,7 +460,23 @@ PIN_SOLVES = {
     "rectangular/300/40": ObservationModel.rectangular(300, 40),
     "rectangular/40/300": ObservationModel.rectangular(40, 300),
 }
-PIN_POLICIES = ("triangular/777", "rectangular/300/40")
+# Policy evaluations pinned exactly: the perturbed optimal policy of each
+# model, and the edge policies of EDGE_POLICIES on a few.  Triangular horizons
+# from 1 to 5000 and rectangular ones with k < n, k = n and k > n.  Written
+# by policy_pin_record while the policy pass still filled whole columns.
+PIN_POLICIES = ("triangular/1", "triangular/2", "triangular/3", "triangular/50",
+                "triangular/777", "triangular/5000", "rectangular/300/40",
+                "rectangular/50/50", "rectangular/40/300")
+EDGE_POLICY_MODELS = ("triangular/3", "triangular/777", "rectangular/6/4",
+                      "rectangular/40/300")
+EDGE_POLICIES = ("all-minus-1", "all-inf", "below-support", "flat-x-max",
+                 "below-then-top")
+
+
+def pin_model(name):
+    """The model a pin name stands for: "triangular/50", "rectangular/6/4"."""
+    kind, *args = name.split("/")
+    return getattr(ObservationModel, kind)(*map(int, args))
 
 
 def perturbed_policy(thresholds):
@@ -471,11 +489,25 @@ def perturbed_policy(thresholds):
     return ThresholdPolicy(tuple(out) + (math.inf,))
 
 
+def edge_policy(model, edge):
+    """Thresholds at the edges of the lattice: below every value, +inf, one
+    below each step's support, flat at the top of the support, or one below
+    the support for the first half of the steps and at the top after."""
+    n, x_max = model.n, float(model.support(model.n)[1])
+    below = tuple(model.support(j)[0] - 1.0 for j in range(1, n + 1))
+    return ThresholdPolicy({
+        "all-minus-1": (-1.0,) * n,
+        "all-inf": (math.inf,) * n,
+        "below-support": below,
+        "flat-x-max": (x_max,) * n,
+        "below-then-top": below[: n // 2] + (x_max,) * (n - n // 2),
+    }[edge])
+
+
 def pin_record(model):
     """What tests/dp_pins.json holds for one model: the optimal solve with
-    tables and, for PIN_POLICIES, the value of the perturbed policy.  The
-    file was written by this function before the lattice pass reused its
-    buffers, so it pins the outputs of the closed-form pass."""
+    tables.  The file was written by this function before the lattice pass
+    reused its buffers, so it pins the outputs of the closed-form pass."""
     sol = dp.solve(model, keep_tables=True)
     stop, cont = sol.tables.as_arrays()
     d = sol.decomposition
@@ -489,14 +521,16 @@ def pin_record(model):
     }
 
 
-def policy_pin_record(model):
-    d = dp.policy_value(model, perturbed_policy(dp.solve(model).policy.thresholds))
-    return {"jump": d.jump.hex(), "drift": d.drift, "total": d.total}
+def policy_pin_record(model, policy):
+    """The exact jump and drift of one policy evaluation, as hex."""
+    d = dp.policy_value(model, policy)
+    return {"jump": d.jump.hex(), "drift": d.drift.hex()}
 
 
 class TestPinnedPass:
-    """Thresholds, both tables and the jump sum are bit-identical to the
-    recorded pass; drift and total may move only in the last bit."""
+    """Thresholds, both tables and the jump sum of a solve are bit-identical
+    to the recorded pass, and its drift and total may move only in the last
+    bit.  Policy evaluations keep every bit of jump and drift."""
 
     @pytest.fixture(scope="class")
     def pins(self):
@@ -512,10 +546,16 @@ class TestPinnedPass:
 
     @pytest.mark.parametrize("name", PIN_POLICIES)
     def test_perturbed_policy(self, pins, name):
-        got, want = policy_pin_record(PIN_SOLVES[name]), pins["policy"][name]
-        assert got["jump"] == want["jump"]
-        for key in ("drift", "total"):
-            assert abs(got[key] - want[key]) <= 1e-15, key
+        model = pin_model(name)
+        policy = perturbed_policy(dp.solve(model).policy.thresholds)
+        assert policy_pin_record(model, policy) == pins["policy"][name]
+
+    @pytest.mark.parametrize("edge", EDGE_POLICIES)
+    @pytest.mark.parametrize("name", EDGE_POLICY_MODELS)
+    def test_edge_policy(self, pins, name, edge):
+        model = pin_model(name)
+        got = policy_pin_record(model, edge_policy(model, edge))
+        assert got == pins["policy"][f"{name}/{edge}"]
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +613,20 @@ def test_stop_col_matches_closed_form_bit_for_bit(model):
     cut_seen = False
     for j, want, arg in reference_stop_cols(model):
         lo = model.support(j)[0]
-        lat.stop_col(j, out)
+        cut = lat.stop_col(j, out)
         assert np.array_equal(out[lo:].view(np.int64), want[lo:].view(np.int64)), j
-        # past the last argument >= -746, every entry is +0.0
+        # past the last argument >= -746, every entry is +0.0, and that is
+        # where the returned exp prefix ends
         keep = np.flatnonzero(arg >= -746.0)
-        tail = out[lo + (keep[-1] + 1 if len(keep) else 0):]
+        assert cut == lo + (keep[-1] + 1 if len(keep) else 0), j
+        tail = out[cut:]
         assert not np.any(np.isnan(tail))
         assert np.all(tail == 0.0) and not np.any(np.signbit(tail))
         cut_seen = cut_seen or len(tail) > 0
+        # a column cut short, as a policy pass asks for, keeps its bits
+        short = np.full(lo + (x_max + 2 - lo) // 2, np.nan)
+        lat.stop_col(j, short)
+        assert np.array_equal(short[lo:].view(np.int64), want[lo : len(short)].view(np.int64)), j
     if model.n == 1500:
         assert cut_seen
 

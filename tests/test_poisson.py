@@ -617,6 +617,13 @@ class TestRectLimit:
         assert err.value.required_k_max is not None
         poisson.rect_limit(1.0, k_max=err.value.required_k_max)
 
+    @pytest.mark.parametrize("lam", [1.0, 700.0])
+    @pytest.mark.parametrize("k_max", [0, -4])
+    def test_k_max_below_one(self, lam, k_max):
+        # the rule of rect_roots, checked before r ** k_max can overflow
+        with pytest.raises(DomainError, match="k_max must be >= 1"):
+            poisson.rect_limit(lam, k_max=k_max)
+
     def test_domain(self):
         for lam in (0.0, 1000.0, math.nan):
             with pytest.raises(DomainError):
