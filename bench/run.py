@@ -21,8 +21,10 @@ first-call imports and caches.  REPS timed calls follow, each of which must
 return the first output.  One column, named --label, is merged into the --out
 JSON, keeping the columns already there, so two checkouts can be measured into
 one file.  A cell holds the median and interquartile range of the wall times
-in seconds; a simulation cell also its SimResult and peak traced allocation in
-MB, a cold cell the scipy subpackages loaded and the sha256 of its stdout.
+in seconds; a solve or policy_value cell also the sha256 of its thresholds and
+the hex of its jump and drift, a simulation cell its SimResult and peak traced
+allocation in MB, a cold cell the scipy subpackages loaded and the sha256 of
+its stdout.  Equal digests in two columns mean bit-identical outputs.
 """
 
 import argparse
@@ -114,6 +116,15 @@ def perturbed(thresholds) -> tuple:
     return tuple(out) + (math.inf,)
 
 
+def bits_sha256(results) -> dict:
+    """The extra field of a solve or policy_value row: the sha256 over
+    (thresholds, Decomposition) pairs of the thresholds and the hex of the
+    jump and drift."""
+    text = "\n".join(" ".join([*map(repr, thresholds), d.jump.hex(), d.drift.hex()])
+                     for thresholds, d in results)
+    return {"bits_sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def rows(src: str, tmp: str):
     """(name, call, extra) per row of ROWS: call() runs the row once and
     returns its output, extra(output) gives the row's extra fields.  Files
@@ -135,12 +146,12 @@ def rows(src: str, tmp: str):
             records = getattr(dp, "_TRIANGULAR", None)  # absent before the shared pass
             if records is not None:
                 records.clear()
-            return [dp.solve(m).decomposition.total for m in models]
-        return call, lambda totals: {}
+            return [dp.solve(m) for m in models]
+        return call, lambda sols: bits_sha256((s.policy.thresholds, s.decomposition) for s in sols)
 
     def policy_value(spec):
         m, policy = model(spec), perturbed_policy(model(spec))
-        return lambda: dp.policy_value(m, policy).total, lambda total: {}
+        return lambda: dp.policy_value(m, policy), lambda d: bits_sha256([((), d)])
 
     def simulate(spec, policy, semantics, seed):
         m = model(spec)

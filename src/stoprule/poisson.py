@@ -417,11 +417,16 @@ def rect_limit_tail_bound(lam: float, k_max: int | None = None) -> float:
     term at most beta e^beta e^{-lam k}/k < 2.3 e^{-lam k}/k, so a geometric
     tail bound applies: r^k_max + 2.3 r^(k_max+1) / (k_max (1 - r)) with
     r = e^{-lam}, written without e^lam so that it is finite for every lam.
+    A lam that is not positive, or infinite with the automatic k_max, raises
+    DomainError, and k_max is held to the rules of rect_limit.
     """
+    if not lam > 0 or (k_max is None and lam == math.inf):
+        raise DomainError(f"lam must be positive (and finite for the automatic k_max), got {lam}")
     if k_max is None:
         k_max = _auto_k_max(lam)
+    _check_levels(k_max)
     r = math.exp(-lam)
-    return r ** k_max + 2.3 * r ** (k_max + 1) / (max(k_max, 1) * -math.expm1(-lam))
+    return r ** k_max + 2.3 * r ** (k_max + 1) / (k_max * -math.expm1(-lam))
 
 
 def _auto_k_max(lam: float) -> int:

@@ -209,8 +209,8 @@ class TestSolve:
             lat = lattice_for(model)
             stop_col = lat.stop_col
 
-            def ones_at_step_3(j, out):
-                cut = stop_col(j, out)
+            def ones_at_step_3(j, out, *floor):
+                cut = stop_col(j, out, *floor)
                 if j == 3:
                     out[j:] = 1.0
                     return len(out)  # no entry of the column is 0 any more
@@ -597,6 +597,40 @@ def test_log_gamma_table_is_scipy_gammaln_bit_for_bit(m):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("start, stop", [(1, 5), (12, 14), (13, 40), (990, 1010), (1000, 1003),
+                                         (1001, 1002), (4000, 4000)])
+def test_log_gamma_range_keeps_the_bits_of_a_whole_table(start, stop):
+    # a table grown in pieces: the factorial part ends at k = 13 and the
+    # series switches at k = 1000
+    want = gammaln(np.arange(start, stop, dtype=float))
+    assert np.array_equal(dp._log_gamma_range(start, stop).view(np.int64), want.view(np.int64))
+
+
+def test_log_gamma_table_is_shared_and_grown_in_place(monkeypatch):
+    built = []
+    log_gamma_range = dp._log_gamma_range
+
+    def counted(start, stop):
+        built.append((start, stop))
+        return log_gamma_range(start, stop)
+
+    monkeypatch.setattr(dp, "_log_gamma_range", counted)
+    monkeypatch.setattr(dp, "_LOG_GAMMA", np.zeros(0))
+    model = ObservationModel.triangular(50)
+    sol = dp.solve(model, keep_tables=True)
+    assert built == [(0, 53)]
+    # a second solve, a smaller one and a policy evaluation read the table
+    dp.solve(model, keep_tables=True)
+    dp.solve(ObservationModel.triangular(40), keep_tables=True)
+    dp.policy_value(model, sol.policy)
+    assert built == [(0, 53)]
+    # a larger one computes only the new entries, which keep their bits
+    dp.solve(ObservationModel.triangular(60), keep_tables=True)
+    assert built == [(0, 53), (53, 63)]
+    want = gammaln(np.arange(63, dtype=float))
+    assert np.array_equal(dp._log_gamma_ints(63).view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("model", [
     ObservationModel.triangular(1),
     ObservationModel.triangular(2),
@@ -610,25 +644,42 @@ def test_stop_col_matches_closed_form_bit_for_bit(model):
     lat = dp._lattice_for(model)
     x_max = model.support(model.n)[1]
     out = np.full(x_max + 1, np.nan)
-    cut_seen = False
+    cut_seen = floor_seen = False
     for j, want, arg in reference_stop_cols(model):
         lo = model.support(j)[0]
-        cut = lat.stop_col(j, out)
+        # A whole column (floor -746): the prefix ends at the first argument
+        # below -747, and every entry, +0.0 past it, has the closed form's bits.
+        cut = lat.stop_col(j, out, dp._EXP_UNDERFLOW)
         assert np.array_equal(out[lo:].view(np.int64), want[lo:].view(np.int64)), j
-        # past the last argument >= -746, every entry is +0.0, and that is
-        # where the returned exp prefix ends
-        keep = np.flatnonzero(arg >= -746.0)
-        assert cut == lo + (keep[-1] + 1 if len(keep) else 0), j
+        below = np.flatnonzero(arg < dp._EXP_UNDERFLOW - 1)
+        assert cut == lo + (below[0] if len(below) else len(arg)), j
         tail = out[cut:]
-        assert not np.any(np.isnan(tail))
         assert np.all(tail == 0.0) and not np.any(np.signbit(tail))
         cut_seen = cut_seen or len(tail) > 0
         # a column cut short, as a policy pass asks for, keeps its bits
         short = np.full(lo + (x_max + 2 - lo) // 2, np.nan)
-        lat.stop_col(j, short)
+        lat.stop_col(j, short, dp._EXP_UNDERFLOW)
         assert np.array_equal(short[lo:].view(np.int64), want[lo : len(short)].view(np.int64)), j
+        if j == model.n:
+            continue
+        # The optimal pass's floor log(1 / (2 size_{j+1})): the prefix keeps
+        # the closed form's bits, and past it every cell is +0.0 where the
+        # closed form is below 1 / (2 size_{j+1}).  The column is reused: it
+        # holds stale values below zeroed_from and +0.0 from there on.
+        lo1, hi1 = model.support(j + 1)
+        bound = 1.0 / (2 * (hi1 - lo1 + 1))
+        zeroed_from = (lo + x_max + 2) // 2
+        out[:zeroed_from], out[zeroed_from:] = np.nan, 0.0
+        cut = lat.stop_col(j, out, math.log(bound), zeroed_from)
+        assert np.array_equal(out[lo:cut].view(np.int64), want[lo:cut].view(np.int64)), j
+        tail = out[cut:]
+        assert np.all(tail == 0.0) and not np.any(np.signbit(tail))
+        assert np.all(want[cut:] < bound), j
+        floor_seen = floor_seen or len(tail) > 0
     if model.n == 1500:
         assert cut_seen
+    if min(model.n, x_max) > 2:
+        assert floor_seen
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +779,7 @@ class TestSharedTriangularRecords:
         def failing(model):
             lat = lattice_for(model)
 
-            def stop_col(j, out):
+            def stop_col(j, out, *floor):
                 raise KeyboardInterrupt
 
             lat.stop_col = stop_col
@@ -740,3 +791,49 @@ class TestSharedTriangularRecords:
         assert own_records.steps == 0
         monkeypatch.setattr(dp, "_lattice_for", lattice_for)
         assert bits(dp.solve(ObservationModel.triangular(25))) == bits(cold_solve(25))
+
+
+# ---------------------------------------------------------------------------
+# Floored stop columns against whole ones
+# ---------------------------------------------------------------------------
+
+class _DiscardedTable:
+    """A value table that drops what is written to it, so that a solve can
+    take the whole-column pass of tables without holding them."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def pass_bits(model, whole):
+    """Thresholds, jump, drift (as hex) and every backward sum of one cold
+    pass: floored stop columns, or whole ones as with keep_tables=True."""
+    lat = dp._lattice_for(model)
+    sweep = dp._Sweep()
+    sweep.advance(lat, model, tables=(_DiscardedTable(),) * 2 if whole else None)
+    b, jump, drift = sweep.horizon(lat, model)
+    return b.tolist(), jump.hex(), drift.hex(), sweep.vsum.tobytes().hex()
+
+
+@pytest.mark.parametrize("model", [
+    *(ObservationModel.triangular(n) for n in (*range(1, 61), 361, 362, 1500, 4999)),
+    ObservationModel.rectangular(1, 1),
+    ObservationModel.rectangular(30, 1),
+    ObservationModel.rectangular(300, 40),
+    ObservationModel.rectangular(50, 50),
+    ObservationModel.rectangular(40, 300),
+], ids=str)
+def test_floored_pass_keeps_every_bit(model):
+    assert pass_bits(model, whole=False) == pass_bits(model, whole=True)
+    if model.n <= 1500:
+        # the public solves: shared records against real value tables
+        dp._TRIANGULAR.clear()
+        assert bits(dp.solve(model)) == bits(dp.solve(model, keep_tables=True))
+
+
+def test_extended_floored_records_keep_every_bit():
+    dp._TRIANGULAR.clear()
+    dp.solve(ObservationModel.triangular(300))
+    warm = bits(dp.solve(ObservationModel.triangular(900)))
+    assert warm == bits(cold_solve(900))
+    assert warm == bits(dp.solve(ObservationModel.triangular(900), keep_tables=True))

@@ -633,6 +633,23 @@ class TestRectLimit:
         assert poisson.rect_limit(700.0).total == pytest.approx(1.0, abs=1e-15)
         assert poisson.rect_limit_tail_bound(1000.0, 8) == 0.0
 
+    @pytest.mark.parametrize("args, match", [
+        ((0.0, 8), "lam must be positive"),  # was ZeroDivisionError
+        ((-1.0, 8), "lam must be positive"),  # was 1625.2
+        ((math.nan, 8), "lam must be positive"),  # was nan
+        ((-1.0,), "lam must be positive"),  # was a bare ValueError
+        ((math.nan,), "lam must be positive"),
+        ((math.inf,), "finite for the automatic k_max"),
+        ((700.0, -4), "k_max must be >= 1"),  # was a bare OverflowError
+        ((1.0, 0), "k_max must be >= 1"),  # was 2.34, not a bound on a probability
+    ], ids=str)
+    def test_tail_bound_refuses_bad_arguments(self, args, match):
+        with pytest.raises(DomainError, match=match):
+            poisson.rect_limit_tail_bound(*args)
+
+    def test_tail_bound_at_infinite_lam_with_explicit_k_max(self):
+        assert poisson.rect_limit_tail_bound(math.inf, 8) == 0.0
+
     def test_auto_k_max_matches_expm1_form(self):
         # The bound used to be written with e^lam, which overflows for large
         # lam; the truncation it picks must not move where it was finite.
