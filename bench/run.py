@@ -5,15 +5,20 @@ Carlo harness, and cold-start timings of the CLI.
     python bench/run.py --label parent --src ../parent/src --out BENCH.json
 
 Imports stoprule from --src (default: this checkout's src/) and times every
-row of ROWS: four DP passes, the 90 triangular solves of the acceptance c05
-grid, the four 500k-replication simulations of the perfbench mc_simulate
-workload, and the bare `import stoprule.cli` and twelve CLI commands, each in a
-fresh interpreter with --src on PYTHONPATH, timed as the wall time of the
-whole process.  The cold `--policy FILE` row reads the perturbed policy of
-triangular(5000) that the in-process policy_value row evaluates, written to a
-temporary file.  Every timed triangular solve starts from empty triangular
-records (`dp._TRIANGULAR`, where the source has them), so a single solve
-times one whole backward pass and the grid row one pass to its largest n.
+row of ROWS: five DP passes, triangular(9000) then triangular(5000), the 90
+triangular solves of the acceptance c05 grid, the four 500k-replication
+simulations of the perfbench mc_simulate workload, and the bare `import
+stoprule.cli` and twelve CLI commands, each in a fresh interpreter with --src
+on PYTHONPATH, timed as the wall time of the whole process.  The cold
+`--policy FILE` row reads the perturbed policy of triangular(5000) that the
+in-process policy_value row evaluates, written to a temporary file.  Every
+timed triangular solve starts from empty triangular records (`dp._TRIANGULAR`,
+where the source has them), so a single solve times one whole backward pass
+and the grid row one pass to its largest n.  The descending pair times what a
+smaller horizon costs after a larger one: a read of the shared records where
+they serve every horizon, a pass of its own where they serve only larger
+ones.  A solve row above the default step cap (triangular(20000)) raises
+STOPRULE_MAX_N to its largest n while it runs, and only then.
 
 Each row runs once untimed, and that output gives the row's extra fields; a
 simulation then runs once more under tracemalloc, so that its peak leaves out
@@ -39,6 +44,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from unittest import mock
 
 REPS = 7
 MC_REPS = 500_000
@@ -54,6 +60,8 @@ ROWS = (  # (row name, kind, arguments of the kind)
     ("solve triangular(5000)", "solve", ("triangular", 5000)),
     ("solve triangular(9000)", "solve", ("triangular", 9000)),
     ("solve rectangular(2000, 2000)", "solve", ("rectangular", 2000, 2000)),
+    ("solve triangular(20000)", "solve", ("triangular", 20000)),
+    ("solve triangular 9000 then 5000", "solve", ("triangular", 9000), ("triangular", 5000)),
     ("policy_value perturbed triangular(5000)", "policy_value", ("triangular", 5000)),
     ("solve triangular 100..9000:100 (c05 grid)", "solve",
      *(("triangular", n) for n in range(100, 9001, 100))),
@@ -141,12 +149,15 @@ def rows(src: str, tmp: str):
 
     def solve(*specs):
         models = [model(spec) for spec in specs]
+        top = max(m.n for m in models)
+        cap = {"STOPRULE_MAX_N": str(top)} if top > dp.DEFAULT_MAX_N else {}
 
         def call():
             records = getattr(dp, "_TRIANGULAR", None)  # absent before the shared pass
             if records is not None:
                 records.clear()
-            return [dp.solve(m) for m in models]
+            with mock.patch.dict(os.environ, cap):
+                return [dp.solve(m) for m in models]
         return call, lambda sols: bits_sha256((s.policy.thresholds, s.decomposition) for s in sols)
 
     def policy_value(spec):

@@ -10,20 +10,14 @@ threshold overtakes the current minimum).
 The jump mass at step j is P(M_{j-1} > b_j) * sum_{x <= b_j} P(X_j = x) s(j,x)
 and the drift mass collects P(M_m = y) v(m, y) over the window b_m < y <=
 b_{m+1}; their total is checked against the independent backward-induction
-value.  Stop columns and P(M_m >= y) are exp of a log-space closed form
+value v0.  Stop columns and P(M_m >= y) are exp of a log-space closed form
 (log-gamma differences for the triangular kind, from one shared log Gamma
 table at the integers that equals scipy's gammaln bit for bit), so no
 intermediate product under/overflows even at n ~ 10^4.  The logs that do not
-depend on the step are computed once per lattice.  A stop column computes its
-log argument block by block from the low end of the support and stops at the
-first argument below a floor minus a margin of 1; exp runs on that prefix
-only, and the cells past it read +0.0.  The argument falls in x (strictly from
-lo_j + 1 on), and its rounding error is about 1e-8 even at LATTICE_WIDTH_CAP,
-where the log-gamma terms near 1.3e7 have ulps of 2e-9; that is far below the
-margin, so every argument past the prefix is below the floor.  The sweep
-reuses two stop and two continuation columns.  With nondecreasing thresholds
-the drift windows are disjoint, so the sweep only records each window's step
-and v(m, y); one P(M_m >= y) call and one fsum after the sweep give the drift
+depend on the step are computed once per lattice.  The sweep reuses two stop
+and two continuation columns.  With nondecreasing thresholds the drift
+windows are disjoint, so the sweep only records each window's step and
+v(m, y); one P(M_m >= y) call and one fsum after the sweep give the drift
 mass.
 
 Each step touches only the cells its outputs read.  A policy pass fills the
@@ -31,32 +25,49 @@ columns of step j only on [lo_j, b_{j+1}]: the jump sum reads s(j, .) up to
 b_j, the drift window reads v(j, .) on (b_j, b_{j+1}], and step j - 1 reads
 both only up to b_j.  Its cumsums are prefix scans and every other operation
 is elementwise, so each entry written has the bits of a whole-column pass.
-Its stop columns, and those of a pass with value tables, have the floor -746,
-below which exp is +0.0, so they are whole.  The optimal pass needs whole
-continuation columns for the backward sum, but its stop column at step j < n
-has the floor log(1 / (2 size_{j+1})): v(j, x) >= s(j+1, lo_{j+1}) /
-size_{j+1} = 1 / size_{j+1} on [lo_{j+1}, hi], so past the floor s < v / 2.
-There max(s, v) in the backward sum is v, the test s >= v fails, and the
-jump sum reads only x <= b_j, which lies inside the prefix, as do the cells
-below lo_{j+1} (s(j, lo_j) = 1).  So every output keeps the bits of a
-whole-column pass, and triangular(9050) calls exp on 2.5M of its 41M cells
-instead of 18M.
+The optimal pass without tables rests on two facts:
+
+- Outputs read low cells only.  The stop column of step j < n goes through
+  exp only on [lo_j, cut_j], where cut_j + 1 is the first x whose log is
+  below the floor log(1 / (2 size_{j+1})) minus a margin of 1, and reads
+  +0.0 past it: v(j, x) >= s(j+1, lo_{j+1}) / size_{j+1} = 1 / size_{j+1} on
+  [lo_{j+1}, hi], so there s < v / 2, max(s, v) is v and the test s >= v
+  fails.  (The log falls in x, strictly from lo_j + 1 on, and its rounding
+  error is about 1e-8 even at LATTICE_WIDTH_CAP, far below the margin.)  So
+  the threshold and jump sum of step j read cells up to cut_j, its drift
+  window cells up to b_{j+1} <= cut_{j+1}, and v(j, x) reads the cells
+  y <= x of step j + 1.  A window U_j >= max_{i <= j+1} cut_i therefore
+  keeps every threshold, jump and drift bit, whatever the cells above it
+  hold.
+- Only the consistency gate reads the rest.  v0, a sum over whole columns,
+  feeds nothing printed.  Writing +0.0 at every cell (j, x) with
+  P(M_j >= x) <= _REACH_EPS moves it by at most the chance that the chain
+  visits such a cell, n * _REACH_EPS.
+
+So step j fills its columns on [lo_j, U_j] with U_j = max(R_j, max_{i <= j+1}
+cut_i), where the reach R_j is the largest x with P(M_j >= x) > _REACH_EPS,
+and its cells past U_j read +0.0; one bisection over all steps before the
+pass gives every cut_j and R_j (`_windows`).  triangular(9000) fills 3.4M of
+its 41M cells.  Passes with value tables fill whole columns.
 
 The work is split in two halves.  The backward half (`_Sweep.advance`) keeps
-per-step records by steps left r = n - j: threshold, jump sum, backward sum
-and drift-window values, plus the frontier's two columns, so it can go on
-from where it stopped.  The forward half (`_Sweep.horizon`) forms the factors
-P(M_{j-1} >= .), the jump and drift fsums and the consistency gate for one
-horizon in O(n).  For the triangular kind the records do not depend on n:
-in y = n - x, X_j is uniform on {0..r}, and the stop column, the
-continuation column and the threshold at r are the same floats for every
-horizon (the closed form reads only r - y - 1, y + 1, y + 2 and r + 1, and
-the floor reads size_{j+1} = r).  The frontier's stop column is floored too,
-which is safe because the next step reads it only through max(s, v).  So
-`solve` keeps one set of triangular records and extends it when a larger n
-is asked for: any sequence of triangular solves costs one sweep to the
-largest n plus O(n) per call.  Rectangular solves, policy evaluations and
-solves with tables run both halves once.
+per-step records by steps left r = n - j: threshold, jump sum and
+drift-window values, the backward sum at its frontier, plus the frontier's
+two columns, so it can go on from where it stopped.  The forward half
+(`_Sweep.horizon`) forms the factors P(M_{j-1} >= .), the jump and drift
+fsums and the consistency gate for one horizon in O(n).  For the triangular
+kind the records do not depend on n: in y = n - x, X_j is uniform on
+{0..r}, and the stop column, its cut and the threshold at r are the same for
+every horizon (the closed form reads only r - y - 1, y + 1, y + 2 and
+r + 1, and the floor reads size_{j+1} = r).  The reach does depend on n: the
+same r is a later step of a larger horizon, with a smaller reach.  So
+records swept for horizon n serve every larger horizon, and `solve` keeps
+one set of triangular records and extends it when a larger n is asked for;
+a smaller n than its records were swept for gets a pass of its own, whose v0
+would otherwise read cells cut for the larger one.  An ascending sequence of
+triangular solves costs one sweep to the largest n plus O(n) per call.
+Rectangular solves, policy evaluations and solves with tables run both
+halves once.
 
 For arbitrary monotone policies the same sums apply with v replaced by the
 "stop at every future record below y" chain, which is what any monotone
@@ -129,39 +140,19 @@ class DpSolution:
 # Lattice geometry adapters
 # ---------------------------------------------------------------------------
 
-# exp of every double below this is exactly +0.0 (the smallest subnormal is
-# exp(-745.13...)), so it is the floor of a stop column that must be whole.
-_EXP_UNDERFLOW = -746.0
-# Stop columns compute their log argument in blocks of this many cells at
-# first, doubling the block while no argument falls below the floor.
-_BLOCK = 512
+# The optimal pass reads +0.0 at cells (j, x) with P(M_j >= x) at most this.
+_REACH_EPS = 1e-20
 
 
-def _exp_prefix(log_stop, out: np.ndarray, lo: int, floor: float, zeroed_from=None) -> int:
-    """exp of a falling log argument over out[lo:], in place, stopping at the
-    first argument below floor - 1.
-
-    log_stop(start, stop, dest) writes the argument at x in [start, stop) to
-    dest; it is called block by block from lo until a block ends below
-    floor - 1.  exp runs on the cells before the first such argument, and the
-    cells from it on read +0.0: out[end:zeroed_from] is zero filled, and
-    out[zeroed_from:] (default: nothing) must hold +0.0 already.  The margin
-    of 1 covers the rounding of the argument, so every argument past the end
-    is below floor.  Returns the end."""
-    top, key = len(out), floor - 1.0
-    start, stop, width, end = lo, lo, _BLOCK, top
-    while start < top:
-        stop = min(start + width, top)
-        block = out[start:stop]
-        log_stop(start, stop, block)
-        if block[-1] < key:
-            end = start + int(np.argmax(block < key))
-            break
-        start, width = stop, 2 * width
-    np.exp(out[lo:end], out=out[lo:end])
-    # the arguments past the end, and what the last use left
-    out[end : top if zeroed_from is None else max(stop, zeroed_from)] = 0.0
-    return end
+def _first_true(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Elementwise the first x in (lo, hi] with pred(x), by bisection: pred
+    must fail at lo and, from its first hit on, hold at every x up to hi,
+    where it is not evaluated."""
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        hit = pred(mid)
+        lo, hi = np.where(hit, lo, mid), np.where(hit, mid, hi)
+    return hi
 
 
 # cephes lgam, which scipy.special.gammaln calls: log(sqrt(2 pi)) and the
@@ -224,23 +215,22 @@ class _TriLattice:
         self._log_room = np.log(n - x + 1.0)
         self._lg_room = self._lg[n - x + 2]
 
-    def stop_col(self, j: int, out: np.ndarray, floor: float, zeroed_from=None) -> int:
-        """s(j, x) = prod_{i=0}^{x-j-1} (n-x+1)/(n-j-i) for x in [j, len(out)),
-        written to out[j:] by `_exp_prefix` with the given floor on its log.
-        Returns the end of the prefix that went through exp: s is +0.0 from
-        there on."""
-        lg_j = self._lg[self.n - j + 1]
+    def log_stop(self, j, x):
+        """log s(j, x), elementwise in integer arrays j and x with j <= x <= n,
+        by the operations `stop_col` sends through exp."""
+        return (x - j - 1.0) * self._log_room[x] + self._lg_room[x] - self._lg[self.n - j + 1]
 
-        def log_stop(start, stop, dest):
-            np.multiply(self._steps[start - j : stop - j], self._log_room[start:stop], out=dest)
-            np.add(dest, self._lg_room[start:stop], out=dest)
-            np.subtract(dest, lg_j, out=dest)
-
-        end = _exp_prefix(log_stop, out, j, floor, zeroed_from)
+    def stop_col(self, j: int, out: np.ndarray, cut: int) -> None:
+        """s(j, x) = prod_{i=0}^{x-j-1} (n-x+1)/(n-j-i) for x in [j, cut),
+        written to out[j:cut]."""
+        col = out[j:cut]
+        np.multiply(self._steps[: cut - j], self._log_room[j:cut], out=col)
+        np.add(col, self._lg_room[j:cut], out=col)
+        np.subtract(col, self._lg[self.n - j + 1], out=col)
+        np.exp(col, out=col)
         # Clip float overshoot from the lgamma differences (values are
         # probabilities, mathematically <= 1).
-        np.minimum(out[j:end], 1.0, out=out[j:end])
-        return end
+        np.minimum(col, 1.0, out=col)
 
     def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
         """P(M_j >= y) for an integer array y (entries may reach n + 1),
@@ -262,14 +252,14 @@ class _RectLattice:
         # log P(X >= x) for x in [1..K]
         self._log_surv = np.log(k - np.arange(1, k + 1) + 1.0) - math.log(k)
 
-    def stop_col(self, j: int, out: np.ndarray, floor: float, zeroed_from=None) -> int:
-        """s(j, x) = ((K-x+1)/K)^(n-j) for x in [1, len(out)), written to
-        out[1:] by `_exp_prefix`.  Returns the end of the prefix that went
-        through exp."""
-        def log_stop(start, stop, dest):
-            np.multiply(self.n - j, self._log_surv[start - 1 : stop - 1], out=dest)
+    def log_stop(self, j, x):
+        """log s(j, x), elementwise in integer arrays j and x with 1 <= x <= K."""
+        return (self.n - j) * self._log_surv[x - 1]
 
-        return _exp_prefix(log_stop, out, 1, floor, zeroed_from)
+    def stop_col(self, j: int, out: np.ndarray, cut: int) -> None:
+        """s(j, x) = ((K-x+1)/K)^(n-j) for x in [1, cut), written to out[1:cut]."""
+        np.multiply(self.n - j, self._log_surv[: cut - 1], out=out[1:cut])
+        np.exp(out[1:cut], out=out[1:cut])
 
     def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
         return self.model.survival(1, ys - 1) ** j
@@ -284,6 +274,24 @@ def _lattice_for(model: ObservationModel):
     return _TriLattice(model.n) if model.kind == TRIANGULAR else _RectLattice(model)
 
 
+def _windows(lat, model: ObservationModel, start: int):
+    """cut_j + 1 and U_j + 1 of the module docstring, as arrays over the
+    records r = start..n-1 of the optimal pass without tables (the last
+    stop column, r = 0, is whole)."""
+    n, x_max = model.n, model.support(model.n)[1]
+    r = np.arange(max(start - 1, 0), n)
+    j = n - r
+    lo, top = model._interval(j)[0] + 0 * j, np.full(len(r), x_max + 1)
+    # the floor log(1 / (2 size_{j+1})) of the module docstring
+    size = x_max + 1 - model._interval(np.minimum(j + 1, n))[0]
+    key = np.where(r > 0, -np.log(2.0 * size) - 1.0, -np.inf)
+    cut = _first_true(lambda x: lat.log_stop(j, x) < key, lo, top)
+    reach = _first_true(lambda x: lat.prob_min_ge(j, x) <= _REACH_EPS, lo, top)
+    needed = np.maximum.accumulate(cut[::-1])[::-1]  # max over r' >= r
+    end = np.maximum(reach, np.r_[needed[:1], needed[:-1]])
+    return cut[min(start, 1) :], end[min(start, 1) :]
+
+
 # ---------------------------------------------------------------------------
 # Backward half: records kept by steps left
 # ---------------------------------------------------------------------------
@@ -291,14 +299,15 @@ def _lattice_for(model: ObservationModel):
 class _Sweep:
     """Records of one backward sweep, kept by steps left r = n - j.
 
-    Per step: the threshold as y_b = x_max - b_j, the support size, the jump
-    sum ssum = sum_{lo <= x <= b_j} s(j, x) and, for the optimal rule, the
-    backward sum sum_x max(s(j, x), v(j, x)), taken from the cumsum that the
-    continuation recurrence of the step before forms anyway.  Per lattice
-    value: the step r of the drift window that covers it (0: none) and
-    v(j, x) there.  The stop and continuation columns of the frontier step
-    let `advance` go on later.  Arrays over lattice values are aligned to the
-    right, so x of a horizon with top x_max sits at index x + len - 1 - x_max.
+    Per step: the threshold as y_b = x_max - b_j, the support size and the
+    jump sum ssum = sum_{lo <= x <= b_j} s(j, x).  Per horizon n the sweep
+    went to: the backward sum sum_x max(s(1, x), v(1, x)) (vsum[n]); step r
+    was swept for the least such n above r.  Per lattice value: the step r
+    of the drift window that covers it (0: none) and v(j, x) there.  The
+    stop and continuation columns of the frontier step let `advance` go on
+    later; every step is filled at y = x_max - x >= filled_from.  Arrays over
+    lattice values are aligned to the right, so x of a horizon with top
+    x_max sits at index x + len - 1 - x_max.
     """
 
     def __init__(self):
@@ -309,17 +318,18 @@ class _Sweep:
         with self.lock:
             self.steps = 0
             self.overlap_from = math.inf  # first r whose drift window meets an earlier one
+            self.filled_from = 0
             self.y_b = np.zeros(0, dtype=np.int64)
             self.size = np.zeros(0, dtype=np.int64)
             self.ssum = np.zeros(0)
-            self.vsum = np.zeros(0)
+            self.vsum = {}  # horizon swept to: backward sum of its first step
             self.drift_r = np.zeros(0, dtype=np.int64)
             self.drift_cont = np.zeros(0)
             self.stop = np.zeros(0)
             self.cont = np.zeros(0)
 
     def _grow(self, width: int, steps: int) -> None:
-        for name in ("y_b", "size", "ssum", "vsum"):
+        for name in ("y_b", "size", "ssum"):
             old = getattr(self, name)
             new = np.zeros(steps, dtype=old.dtype)
             new[: len(old)] = old
@@ -335,81 +345,87 @@ class _Sweep:
         recorded.  With thresholds=None the sweep solves for the optimal
         rule; with a policy's thresholds it evaluates that rule (the
         continuation chain is then "stop at every future record").  The
-        steps already recorded must be the last steps of model too, and the
-        columns no wider than its lattice.
+        steps already recorded must be the last steps of model too, swept
+        for no larger horizon, and the columns no wider than its lattice.
 
-        A policy pass fills the columns of step j only on [lo_j, min(hi,
-        max(lo_j, b_{j+1}))] (b_n at the last step), the cells that its jump
-        sum, its drift window and the step before read; so its frontier
-        columns are partial and cannot be extended.  The optimal pass fills
-        whole continuation columns, which the backward sum needs; without
-        tables its stop columns go through exp only down to the floor
-        log(1 / (2 size_{j+1})) and read +0.0 past it, where s < v (see the
-        module docstring).  The threshold search, the jump sum and the step
-        before read s only inside that prefix or through max(s, v)."""
+        Step j fills its columns on [lo_j, end_j) and they read +0.0 from
+        there to where they were filled two steps before.  A pass with
+        tables fills whole columns.  A policy pass stops at min(hi,
+        max(lo_j, b_{j+1})) (b_n at the last step): its jump sum, its drift
+        window and the step before read no further, so its frontier columns
+        cannot be extended.  The optimal pass without tables takes its
+        stop-column cuts and fill ends from `_windows` (see the module
+        docstring); if its new steps would widen the window an earlier
+        record was filled on, it sweeps anew from r = 0."""
         n, x_max = model.n, model.support(model.n)[1]
-        start = self.steps
-        self._grow(x_max + 1, n)
-        optimal = thresholds is None
+        start, width, optimal = self.steps, x_max + 1, thresholds is None
+        if optimal and tables is None:
+            cut, end = _windows(lat, model, start)
+            if start and width - int(cut.max()) < self.filled_from:
+                self.clear()
+                return self.advance(lat, model)
+        self._grow(width, n)
         if not optimal:
             # clamp to [0, x_max]: anything below the support stops nothing
-            b = np.clip(np.floor(thresholds[::-1]), 0, x_max)
-            self.y_b[:] = x_max - b.astype(np.int64)
-        # Two stop and two continuation columns, swapped every step.  Entries
-        # below the support are never written, so cont stays 0 there; the
-        # recurrence fills cont[lo1:end] and cont[lo:lo1] is zeroed.  An
-        # optimal pass zero fills a stop column only up to where it may hold
-        # values of its last use (dirty), not the whole tail past its prefix.
-        s_col, s_next = np.zeros(x_max + 1), self.stop
-        dirty, dirty_next = 0, x_max + 1
-        cont, cont_next = np.zeros(x_max + 1), self.cont
-        w = np.empty(x_max + 1)
-        tail = np.empty(x_max + 1)
+            b = np.clip(np.floor(thresholds[::-1]), 0, x_max).astype(np.int64)
+            self.y_b[:] = x_max - b
+            # a policy reads step j only up to b_{j+1} (b_n at the last step)
+            lo = model._interval(n - np.arange(n))[0]
+            cut = end = np.minimum(x_max, np.maximum(lo, b[np.r_[0, : n - 1]])) + 1
+        elif tables is not None:
+            cut = end = np.full(n - start, width)
+        self.filled_from = max(self.filled_from, width - int(end.min()))
+        # Two stop and two continuation columns, swapped every step: fresh
+        # ones, or the frontier's, filled whole.  Entries below the support
+        # are never written, so cont stays 0 there; the recurrence fills
+        # cont[lo1:end] and cont[lo:lo1] is zeroed.  Each column is zeroed
+        # from its end up to where it was filled two steps before (stale).
+        stale = np.maximum(end, np.r_[0, width if start else 0, end][: n - start])
+        s_col, s_next = np.zeros(width), self.stop
+        cont, cont_next = np.zeros(width), self.cont
+        w = np.empty(width)
+        tail = np.empty(width)
         # P(X_{j+1} > x) = (x_max - x) / size on the support (both kinds have
         # hi = x_max at every step).  Rebuilt only when the support moves:
-        # every step for triangular, once for rectangular, whose ends only
-        # fall as r grows.
+        # every step for triangular, once for rectangular, at r = 1, whose
+        # end is the largest (whole in an optimal pass; a policy pass's ends
+        # only fall as r grows).
         room = np.arange(x_max, -1.0, -1.0)
-        p_above = np.empty(x_max + 1)
+        p_above = np.empty(width)
         above_support = None
-        hit = np.empty(x_max + 1, dtype=bool)
+        hit = np.empty(width, dtype=bool)
         try:
-            for r in range(start, n):
+            # (memoryviews yield one int at a time; lists would hold n of each)
+            for r, cut_r, end_r, stale_r in zip(range(start, n), memoryview(cut),
+                                                memoryview(end), memoryview(stale)):
                 j = n - r
                 lo, hi = model.support(j)
                 self.size[r] = hi - lo + 1
-                # a policy reads step j only up to b_{j+1} (b_n at the last step)
-                top = hi if optimal else x_max - int(self.y_b[r - 1 if r else 0])
-                end = min(hi, max(lo, top)) + 1
-                # Columns that an output reads directly go whole; the others
-                # stop where s(j, .) < 1 / (2 size_{j+1}) <= v(j, .) / 2.
-                floor = (-math.log(2.0 * self.size[r - 1]) if optimal and r and tables is None
-                         else _EXP_UNDERFLOW)
-                cut = lat.stop_col(j, s_col[:end], floor, dirty if optimal else None)
-                dirty = cut
+                lat.stop_col(j, s_col, cut_r)
+                s_col[cut_r:stale_r] = 0.0
                 if r:
                     lo1, hi1 = model.support(j + 1)
                     size = hi1 - lo1 + 1
                     cont[lo:lo1] = 0.0
-                    acc, pt = w[lo1:end], tail[lo1:end]
+                    acc, pt = w[lo1:end_r], tail[lo1:end_r]
                     if optimal:
-                        np.maximum(s_next[lo1:], cont_next[lo1:], out=acc)
+                        np.maximum(s_next[lo1:end_r], cont_next[lo1:end_r], out=acc)
                         np.add.accumulate(acc, out=acc)
-                        self.vsum[r - 1] = acc[-1]
                     else:
-                        np.add.accumulate(s_next[lo1:end], out=acc)
+                        np.add.accumulate(s_next[lo1:end_r], out=acc)
                     np.divide(acc, size, out=acc)
                     if above_support != (lo1, hi1):
                         above_support = (lo1, hi1)
-                        np.divide(room[lo1:end], size, out=p_above[lo1:end])
-                    np.multiply(p_above[lo1:end], cont_next[lo1:end], out=pt)
-                    np.add(acc, pt, out=cont[lo1:end])
-                    np.minimum(cont[lo1:end], 1.0, out=cont[lo1:end])
+                        np.divide(room[lo1:end_r], size, out=p_above[lo1:end_r])
+                    np.multiply(p_above[lo1:end_r], cont_next[lo1:end_r], out=pt)
+                    np.add(acc, pt, out=cont[lo1:end_r])
+                    np.minimum(cont[lo1:end_r], 1.0, out=cont[lo1:end_r])
+                    cont[end_r:stale_r] = 0.0
 
                 if optimal:
                     # largest x with s >= v, which lies inside the exp prefix
-                    np.greater_equal(s_col[lo:cut], cont[lo:cut], out=hit[lo:cut])
-                    self.y_b[r] = x_max + 1 - cut + hit[lo:cut][::-1].argmax()
+                    np.greater_equal(s_col[lo:cut_r], cont[lo:cut_r], out=hit[lo:cut_r])
+                    self.y_b[r] = x_max + 1 - cut_r + hit[lo:cut_r][::-1].argmax()
                 bj = x_max - int(self.y_b[r])
                 if bj >= lo:
                     self.ssum[r] = np.add.reduce(s_col[lo : bj + 1])
@@ -426,15 +442,14 @@ class _Sweep:
                         self.drift_cont[window] = cont[window]
 
                 if tables is not None:
-                    tables[0][j, lo:end] = s_col[lo:end]
-                    tables[1][j, lo:end] = cont[lo:end]
+                    tables[0][j, lo:end_r] = s_col[lo:end_r]
+                    tables[1][j, lo:end_r] = cont[lo:end_r]
                 s_col, s_next = s_next, s_col
-                dirty, dirty_next = dirty_next, dirty
                 cont, cont_next = cont_next, cont
-            if optimal:  # the frontier's backward sum, as its next step would form it
+            if optimal:  # the frontier's backward sum
                 lo = model.support(1)[0]
                 np.maximum(s_next[lo:], cont_next[lo:], out=w[lo:])
-                self.vsum[n - 1] = np.add.accumulate(w[lo:], out=w[lo:])[-1]
+                self.vsum[n] = np.add.accumulate(w[lo:], out=w[lo:])[-1]
         except BaseException:
             self.clear()  # a half-swept frontier must not be extended later
             raise
@@ -459,7 +474,7 @@ class _Sweep:
         pge = lat.prob_min_ge(n - window_r[ys, None], ys[:, None] + np.array([0, 1]))
         drift = math.fsum((pge[:, 0] - pge[:, 1]) * self.drift_cont[at:][ys])
         if optimal:
-            v0 = float(self.vsum[n - 1]) / size[0]
+            v0 = float(self.vsum[n]) / size[0]
             if abs(jump + drift - v0) > _CONSISTENCY_TOL:
                 raise PrecisionError(
                     f"jump/drift sums ({jump + drift}) disagree with backward value ({v0})"
@@ -537,6 +552,8 @@ def solve(model: ObservationModel, keep_tables: bool = False) -> DpSolution:
         tables = (np.full((n + 1, width), np.nan), np.full((n + 1, width), np.nan))
     sweep = _TRIANGULAR if model.kind == TRIANGULAR and not keep_tables else _Sweep()
     with sweep.lock:
+        if sweep.steps >= n and n not in sweep.vsum:
+            sweep = _Sweep()  # records swept for a larger horizon: a pass of its own
         if sweep.steps < n:
             sweep.advance(lat, model, tables=tables)
         b, jump, drift = sweep.horizon(lat, model)

@@ -10,11 +10,13 @@ that the moment series of poisson._level_series replaced. ladder_residual is
 the level equation of one root, which the brentq ladder of the tests solves.
 gm_first_passage is the split by first passage of the full-information
 success probability, and tie_probability the exact P(tie) of any
-independent integer-valued model.
+independent integer-valued model.  exact_values is the backward induction of
+dp in exact rational arithmetic.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -151,3 +153,24 @@ def tie_probability(model, chunk=256):
         after = np.cumprod(np.vstack([one, surv[:0:-1]]), axis=0)[::-1]  # over i > j
         unique.append(float(np.sum(mass * before * after)))
     return 1.0 - math.fsum(unique)
+
+
+def exact_values(model):
+    """The stop and continuation values s(j, x) and v(j, x) of the optimal
+    rule as Fractions, keyed by (j, x) for steps j = 1..n and running minima
+    x = 1..x_max of an integer-interval model: s(j, x) = P(X_i >= x for all
+    i > j), v(n, x) = 0 and v(j, x) = sum_{y <= x} P(X_{j+1} = y) max(s, v)(j+1, y)
+    + P(X_{j+1} > x) v(j+1, x), a value equal to the minimum being a record."""
+    n = model.n
+    x_max = model.support(n)[1]
+    s = {(n, x): Fraction(1) for x in range(1, x_max + 1)}
+    v = {(n, x): Fraction(0) for x in range(1, x_max + 1)}
+    for j in range(n - 1, 0, -1):
+        lo, hi = model.support(j + 1)
+        size, below = hi - lo + 1, Fraction(0)
+        for x in range(1, x_max + 1):
+            if lo <= x <= hi:
+                below += max(s[j + 1, x], v[j + 1, x]) / size
+            s[j, x] = s[j + 1, x] * Fraction(min(hi - x + 1, size), size)
+            v[j, x] = below + Fraction(max(hi - x, 0), size) * v[j + 1, x]
+    return s, v

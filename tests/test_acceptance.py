@@ -12,7 +12,9 @@ n = 1000, 9000 and 36000, and v_9000 = 0.707703.  An end-point bracket
 47000, above the default cap of 10000).  The upper half of that bracket is
 replaced by an extrapolation: a least-squares fit v_n = a + b/sqrt(n) + c/n on
 the sweep's n >= 1000 must give |a - L| <= 1e-4 (the fit gives a - L = -3.0e-6,
-its residuals are below 1e-5) and b > 0.
+its residuals are below 1e-5) and b > 0.  A second test checks the bracket at
+n = 50000 itself, in a child process whose step cap is raised, and that the
+fit predicts v_50000 within its largest residual.
 
 Criterion 13 checks the intensity route of the integer-level limit away from
 lambda = 1: rectangular(n, k) has Poisson(lambda) level counts as n/k ->
@@ -29,8 +31,13 @@ n = 250..3000 puts a within 1.4e-10 of the limit, with b = 0.276.  The test
 requires |a - samuels_value()| <= 1e-8 and b > 0.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +53,9 @@ def report(name, detail):
 
 @pytest.fixture(scope="module")
 def triangular_sweep():
+    # from empty records, so that the ascending grid is one shared sweep
+    # whatever larger horizon an earlier test solved
+    dp._TRIANGULAR.clear()
     values = {}
     for n in range(100, 9001, 100):
         values[n] = dp.solve(ObservationModel.triangular(n)).decomposition.total
@@ -128,6 +138,16 @@ def test_c05_dp_convergence_rectangular(rectangular_sweep):
            f"decreasing on 100..2000, v_2000={vals[-1]:.6f} [{time.time()-t0:.2f}s]")
 
 
+def triangular_fit(sweep):
+    """Coefficients (a, b, c) of the least-squares fit v_n = a + b/sqrt(n) + c/n
+    over the sweep's n >= 1000, and its largest residual."""
+    x = np.asarray([n for n in sweep if n >= 1000], dtype=float)
+    design = np.column_stack([np.ones_like(x), x ** -0.5, 1.0 / x])
+    v = np.asarray([sweep[n] for n in x.astype(int)])
+    coef = np.linalg.lstsq(design, v, rcond=None)[0]
+    return coef, float(np.max(np.abs(design @ coef - v)))
+
+
 def test_c05_dp_convergence_triangular(triangular_sweep):
     t0 = time.time()
     ns = sorted(triangular_sweep)
@@ -140,15 +160,33 @@ def test_c05_dp_convergence_triangular(triangular_sweep):
     # extrapolated instead.  The scaled gap (v_n - L)*sqrt(n) has lattice
     # wiggles (0.43737 at n = 1200, 0.43778 at n = 1300), so it is not
     # asserted monotone.
-    big = [n for n in ns if n >= 1000]
-    x = np.asarray(big, dtype=float)
-    design = np.column_stack([np.ones_like(x), x ** -0.5, 1.0 / x])
-    a, b, _ = np.linalg.lstsq(design, [triangular_sweep[n] for n in big], rcond=None)[0]
+    a, b, _ = triangular_fit(triangular_sweep)[0]
     assert abs(a - limit) <= 1e-4, f"extrapolated limit {a:.6f} vs Poisson limit {limit:.6f}"
     assert b > 0, "not converging from above"
     report("5 dp convergence (triangular)",
            f"decreasing on 100..9000 above L={limit:.6f}, v_9000={vals[-1]:.6f}, "
            f"fit a={a:.6f} a-L={a - limit:+.1e} b={b:.4f} [{time.time()-t0:.2f}s]")
+
+
+def test_c05_bracket_at_its_own_n(triangular_sweep):
+    # L < v_n < L + 0.002 holds from n near 47000 on, above the default step
+    # cap, so the solve runs in a child process with the cap raised in its
+    # environment only; this process's records and cap stay as they were.
+    t0 = time.time()
+    n = 50_000
+    env = {**os.environ, "PYTHONPATH": str(Path(dp.__file__).parents[1]),
+           "STOPRULE_MAX_N": str(n)}
+    proc = subprocess.run([sys.executable, "-m", "stoprule.cli", "value", "--model", "triangular",
+                           "--n", str(n)], env=env, capture_output=True, text=True, check=True)
+    v = json.loads(proc.stdout)["total"]
+    limit = poisson.success_prob_boundary(0.5, poisson.beta_star(0.5).root)
+    assert limit < v < limit + 0.002, f"v_{n} = {v} outside ({limit}, {limit + 0.002})"
+    coef, residual = triangular_fit(triangular_sweep)
+    predicted = coef @ [1.0, n ** -0.5, 1.0 / n]
+    assert abs(predicted - v) <= residual, f"fit predicts {predicted}, v_{n} = {v}"
+    report("5 dp bracket at n = 50000 (triangular)",
+           f"v={v:.10f} in (L, L+0.002), v-L={v - limit:.2e}, fit misses by "
+           f"{abs(predicted - v):.1e} <= {residual:.1e} [{time.time()-t0:.2f}s]")
 
 
 @pytest.mark.parametrize("n", [100, 4500, 9000])

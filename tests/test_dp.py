@@ -21,7 +21,7 @@ from stoprule.models import (
     UnsupportedModelError,
 )
 
-from oracles import enumerate_outcomes, policy_oracle
+from oracles import enumerate_outcomes, exact_values, policy_oracle
 
 
 @pytest.fixture
@@ -209,12 +209,10 @@ class TestSolve:
             lat = lattice_for(model)
             stop_col = lat.stop_col
 
-            def ones_at_step_3(j, out, *floor):
-                cut = stop_col(j, out, *floor)
+            def ones_at_step_3(j, out, cut):
+                stop_col(j, out, cut)
                 if j == 3:
-                    out[j:] = 1.0
-                    return len(out)  # no entry of the column is 0 any more
-                return cut
+                    out[j:cut] = 1.0
 
             lat.stop_col = ones_at_step_3
             return lat
@@ -261,6 +259,25 @@ class TestTables:
                 ok = ~np.isnan(stop[j])
                 xs = np.nonzero(ok & (stop[j] >= cont[j]))[0]
                 assert xs.max() == b
+
+    def test_thresholds_are_optimal_in_exact_arithmetic(self):
+        # Every emitted threshold stops where s >= v and continues where
+        # s <= v, in exact arithmetic.  It is the largest x with s >= v
+        # except at the known exact ties s = v = 5/9 of rectangular(n, 9) at
+        # step n - 1, where rounding puts b_{n-1} at 4; both are optimal.
+        models = [*(ObservationModel.rectangular(n, k) for n in range(2, 11) for k in range(1, 11)),
+                  *(ObservationModel.triangular(n) for n in range(2, 16))]
+        deviations = set()
+        for m in models:
+            s, v = exact_values(m)
+            x_max = m.support(m.n)[1]
+            for j, b in enumerate(dp.solve(m).policy.thresholds[:-1], start=1):
+                xs = range(m.support(j)[0], x_max + 1)
+                assert all(s[j, x] >= v[j, x] if x <= b else s[j, x] <= v[j, x] for x in xs), (m, j)
+                rule = max(x for x in xs if s[j, x] >= v[j, x])
+                if rule != b:
+                    deviations.add((m.kind, m.n, m.k, j, b, rule))
+        assert deviations == {("rectangular", n, 9, n - 1, 4.0, 5) for n in range(2, 11)}
 
     def test_no_exit_property(self):
         # monotone thresholds + nonincreasing running minimum: once below the
@@ -642,42 +659,37 @@ def test_log_gamma_table_is_shared_and_grown_in_place(monkeypatch):
 ], ids=str)
 def test_stop_col_matches_closed_form_bit_for_bit(model):
     lat = dp._lattice_for(model)
-    x_max = model.support(model.n)[1]
-    out = np.full(x_max + 1, np.nan)
-    cut_seen = floor_seen = False
+    n, x_max = model.n, model.support(model.n)[1]
+    cuts, _ = dp._windows(lat, model, 0)
+    floor_seen = False
     for j, want, arg in reference_stop_cols(model):
         lo = model.support(j)[0]
-        # A whole column (floor -746): the prefix ends at the first argument
-        # below -747, and every entry, +0.0 past it, has the closed form's bits.
-        cut = lat.stop_col(j, out, dp._EXP_UNDERFLOW)
-        assert np.array_equal(out[lo:].view(np.int64), want[lo:].view(np.int64)), j
-        below = np.flatnonzero(arg < dp._EXP_UNDERFLOW - 1)
-        assert cut == lo + (below[0] if len(below) else len(arg)), j
-        tail = out[cut:]
-        assert np.all(tail == 0.0) and not np.any(np.signbit(tail))
-        cut_seen = cut_seen or len(tail) > 0
-        # a column cut short, as a policy pass asks for, keeps its bits
-        short = np.full(lo + (x_max + 2 - lo) // 2, np.nan)
-        lat.stop_col(j, short, dp._EXP_UNDERFLOW)
-        assert np.array_equal(short[lo:].view(np.int64), want[lo : len(short)].view(np.int64)), j
-        if j == model.n:
+        # the log argument that the bisection reads is the one stop_col
+        # sends through exp
+        xs = np.arange(lo, x_max + 1)
+        got = lat.log_stop(np.full_like(xs, j), xs)
+        assert np.array_equal(got.view(np.int64), arg.view(np.int64)), j
+        # A whole column, as a pass with tables asks for, and one cut short,
+        # as a policy pass asks for: the closed form's bits (+0.0 where exp
+        # underflows), and no entry outside [lo, cut) is written.
+        for cut in (x_max + 1, lo + (x_max + 2 - lo) // 2):
+            out = np.full(x_max + 1, np.nan)
+            lat.stop_col(j, out, cut)
+            assert np.array_equal(out[lo:cut].view(np.int64), want[lo:cut].view(np.int64)), j
+            assert np.all(np.isnan(out[:lo])) and np.all(np.isnan(out[cut:])), j
+        if j == n:
+            assert cuts[0] == x_max + 1  # the last stop column is whole
             continue
-        # The optimal pass's floor log(1 / (2 size_{j+1})): the prefix keeps
-        # the closed form's bits, and past it every cell is +0.0 where the
-        # closed form is below 1 / (2 size_{j+1}).  The column is reused: it
-        # holds stale values below zeroed_from and +0.0 from there on.
+        # The optimal pass's cut: the first argument below its floor
+        # log(1 / (2 size_{j+1})) minus 1.  Past it the closed form is below
+        # 1 / (2 size_{j+1}), so the +0.0 that the pass reads there is < v / 2.
         lo1, hi1 = model.support(j + 1)
         bound = 1.0 / (2 * (hi1 - lo1 + 1))
-        zeroed_from = (lo + x_max + 2) // 2
-        out[:zeroed_from], out[zeroed_from:] = np.nan, 0.0
-        cut = lat.stop_col(j, out, math.log(bound), zeroed_from)
-        assert np.array_equal(out[lo:cut].view(np.int64), want[lo:cut].view(np.int64)), j
-        tail = out[cut:]
-        assert np.all(tail == 0.0) and not np.any(np.signbit(tail))
+        below = np.flatnonzero(arg < math.log(bound) - 1)
+        cut = cuts[n - j]
+        assert cut == lo + (below[0] if len(below) else len(arg)), j
         assert np.all(want[cut:] < bound), j
-        floor_seen = floor_seen or len(tail) > 0
-    if model.n == 1500:
-        assert cut_seen
+        floor_seen = floor_seen or cut <= x_max
     if min(model.n, x_max) > 2:
         assert floor_seen
 
@@ -756,6 +768,51 @@ class TestSharedTriangularRecords:
         assert not any(t.is_alive() for t in threads)
         assert got == cold
 
+    def test_descending_ascending_and_mixed_solves_equal_cold_solves(self):
+        ns = (3001, 1500, 777, 362, 361, 60)
+        cold = {n: bits(cold_solve(n)) for n in ns}
+        for order in (sorted(ns, reverse=True), sorted(ns), (777, 60, 3001, 361, 1500, 362)):
+            for fresh in (True, False):  # from empty records, and after the orders before
+                if fresh:
+                    dp._TRIANGULAR.clear()
+                for n in order:
+                    assert bits(dp.solve(ObservationModel.triangular(n))) == cold[n], (order, n)
+
+    def test_records_serve_no_smaller_horizon(self, monkeypatch):
+        # Records swept for n serve every larger horizon, which extends them;
+        # a smaller one gets a pass of its own and leaves them as they were.
+        cold = {n: bits(cold_solve(n)) for n in (200, 500, 600, 800)}
+        passes = []
+        advance = dp._Sweep.advance
+
+        def counted(sweep, lat, model, *args, **kwargs):
+            passes.append((sweep is dp._TRIANGULAR, model.n))
+            return advance(sweep, lat, model, *args, **kwargs)
+
+        monkeypatch.setattr(dp._Sweep, "advance", counted)
+        records = dp._TRIANGULAR
+        records.clear()
+        names = ("y_b", "size", "ssum", "drift_r", "drift_cont", "stop", "cont")
+        for n in (500, 200, 800, 500, 600, 800):
+            before = [getattr(records, name).copy() for name in names], dict(records.vsum)
+            assert bits(dp.solve(ObservationModel.triangular(n))) == cold[n], n
+            if n < records.steps:
+                arrays, vsum = before
+                assert all(np.array_equal(a, getattr(records, name))
+                           for a, name in zip(arrays, names)), n
+                assert records.vsum == vsum, n
+        assert passes == [(True, 500), (False, 200), (True, 800), (False, 600)]
+        assert sorted(records.vsum) == [500, 800]  # the horizons the records serve
+
+    def test_an_extension_that_would_widen_an_old_window_sweeps_anew(self):
+        cold = bits(cold_solve(900))
+        dp._TRIANGULAR.clear()
+        dp.solve(ObservationModel.triangular(300))
+        records = dp._TRIANGULAR
+        records.filled_from = 300  # as if every record had been filled only at y >= 300
+        assert bits(dp.solve(ObservationModel.triangular(900))) == cold
+        assert records.steps == 900 and list(records.vsum) == [900]
+
     def test_cap_refusal_does_not_depend_on_earlier_calls(self, monkeypatch):
         dp.solve(ObservationModel.triangular(60))
         steps = dp._TRIANGULAR.steps
@@ -779,7 +836,7 @@ class TestSharedTriangularRecords:
         def failing(model):
             lat = lattice_for(model)
 
-            def stop_col(j, out, *floor):
+            def stop_col(j, out, cut):
                 raise KeyboardInterrupt
 
             lat.stop_col = stop_col
@@ -794,7 +851,7 @@ class TestSharedTriangularRecords:
 
 
 # ---------------------------------------------------------------------------
-# Floored stop columns against whole ones
+# Windowed passes against whole ones
 # ---------------------------------------------------------------------------
 
 class _DiscardedTable:
@@ -806,13 +863,13 @@ class _DiscardedTable:
 
 
 def pass_bits(model, whole):
-    """Thresholds, jump, drift (as hex) and every backward sum of one cold
-    pass: floored stop columns, or whole ones as with keep_tables=True."""
+    """Thresholds, jump and drift (as hex) and the backward value v0 of one
+    cold pass: windowed, or whole columns as with keep_tables=True."""
     lat = dp._lattice_for(model)
     sweep = dp._Sweep()
     sweep.advance(lat, model, tables=(_DiscardedTable(),) * 2 if whole else None)
     b, jump, drift = sweep.horizon(lat, model)
-    return b.tolist(), jump.hex(), drift.hex(), sweep.vsum.tobytes().hex()
+    return (b.tolist(), jump.hex(), drift.hex()), sweep.vsum[model.n] / sweep.size[model.n - 1]
 
 
 @pytest.mark.parametrize("model", [
@@ -822,13 +879,41 @@ def pass_bits(model, whole):
     ObservationModel.rectangular(300, 40),
     ObservationModel.rectangular(50, 50),
     ObservationModel.rectangular(40, 300),
+    *(ObservationModel.triangular(n) for n in (*range(61, 80), 777, 2000)),
+    *(ObservationModel.rectangular(n, k) for n, k in ((2, 9), (10, 3), (1000, 1000),
+                                                      (2000, 500), (500, 2000))),
 ], ids=str)
 def test_floored_pass_keeps_every_bit(model):
-    assert pass_bits(model, whole=False) == pass_bits(model, whole=True)
+    # Every threshold, jump and drift bit of the windowed pass; its v0, which
+    # only the consistency gate reads, within n * _REACH_EPS (the chance that
+    # the chain visits a cell past the reach).
+    (got, v0), (want, v0_whole) = pass_bits(model, whole=False), pass_bits(model, whole=True)
+    assert got == want
+    assert abs(v0 - v0_whole) <= model.n * dp._REACH_EPS
     if model.n <= 1500:
         # the public solves: shared records against real value tables
         dp._TRIANGULAR.clear()
         assert bits(dp.solve(model)) == bits(dp.solve(model, keep_tables=True))
+
+
+def test_a_window_narrowed_below_the_cuts_moves_bits(monkeypatch):
+    # The mutation: U_j one cell below max_{i <= j+1} cut_i wherever that is
+    # not the whole column.  The pass must then lose a bit or fail its checks.
+    windows = dp._windows
+
+    def narrowed(lat, model, start):
+        cut, end = windows(lat, model, start)
+        need = np.maximum.accumulate(cut[::-1])[::-1][np.maximum(np.arange(len(cut)) - 1, 0)]
+        return cut, np.where(need <= model.support(model.n)[1], np.minimum(end, need - 1), end)
+
+    monkeypatch.setattr(dp, "_windows", narrowed)
+    for model in (ObservationModel.triangular(361), ObservationModel.triangular(1500),
+                  ObservationModel.rectangular(300, 40)):
+        try:
+            got = pass_bits(model, whole=False)[0]
+        except PrecisionError as exc:
+            got = exc
+        assert got != pass_bits(model, whole=True)[0], model
 
 
 def test_extended_floored_records_keep_every_bit():
