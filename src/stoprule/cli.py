@@ -121,9 +121,9 @@ def _parse_grid(text: str):
 # Most work in a grid of horizons: the sum of n^2 over its points, the lattice
 # cells of a rectangular(n, n) sweep, which runs one pass per point.  A
 # triangular sweep costs about one pass to its largest n, since dp keeps the
-# triangular records by steps left; the one cap still bounds both.  At the
-# 0.864 s per triangular(9000) pass of BENCH_16.json, 1e11 cells of separate
-# passes are about 18 minutes.
+# triangular records by steps left; the one cap still bounds both.  The
+# dearest grid, 10^5 rectangular passes of n = 1000 at about 20 ns a cell (the
+# most per cell, on one 2-core Xeon), takes about 30 minutes.
 _MAX_GRID_CELLS = 10**11
 
 

@@ -15,10 +15,10 @@ value v0.  Stop columns and P(M_m >= y) are exp of a log-space closed form
 table at the integers that equals scipy's gammaln bit for bit), so no
 intermediate product under/overflows even at n ~ 10^4.  The logs that do not
 depend on the step are computed once per lattice.  The sweep reuses two stop
-and two continuation columns.  With nondecreasing thresholds the drift
-windows are disjoint, so the sweep only records each window's step and
-v(m, y); one P(M_m >= y) call and one fsum after the sweep give the drift
-mass.
+and two continuation columns.  The thresholds are nondecreasing (a pass that
+finds otherwise raises PrecisionError), so the drift windows tile (b_1, b_n]
+in step order and the step of each y follows from them: the sweep records
+only v(m, y), and one P(M_m >= y) call and one fsum give the drift mass.
 
 Each step touches only the cells its outputs read.  A policy pass fills the
 columns of step j only on [lo_j, b_{j+1}]: the jump sum reads s(j, .) up to
@@ -299,11 +299,12 @@ def _windows(lat, model: ObservationModel, start: int):
 class _Sweep:
     """Records of one backward sweep, kept by steps left r = n - j.
 
-    Per step: the threshold as y_b = x_max - b_j, the support size and the
-    jump sum ssum = sum_{lo <= x <= b_j} s(j, x).  Per horizon n the sweep
-    went to: the backward sum sum_x max(s(1, x), v(1, x)) (vsum[n]); step r
-    was swept for the least such n above r.  Per lattice value: the step r
-    of the drift window that covers it (0: none) and v(j, x) there.  The
+    Per step: the threshold as y_b = x_max - b_j and the jump sum
+    ssum = sum_{lo <= x <= b_j} s(j, x).  Per horizon n the sweep went to:
+    the backward sum sum_x max(s(1, x), v(1, x)) (vsum[n]); step r was swept
+    for the least such n above r.  Per lattice value x: v(j, x) of the step
+    whose drift window (b_j, b_{j+1}] covers it.  The windows tile
+    (b_1, b_n] in step order, so that step follows from the thresholds.  The
     stop and continuation columns of the frontier step let `advance` go on
     later; every step is filled at y = x_max - x >= filled_from.  Arrays over
     lattice values are aligned to the right, so x of a horizon with top
@@ -317,24 +318,21 @@ class _Sweep:
     def clear(self) -> None:
         with self.lock:
             self.steps = 0
-            self.overlap_from = math.inf  # first r whose drift window meets an earlier one
             self.filled_from = 0
             self.y_b = np.zeros(0, dtype=np.int64)
-            self.size = np.zeros(0, dtype=np.int64)
             self.ssum = np.zeros(0)
             self.vsum = {}  # horizon swept to: backward sum of its first step
-            self.drift_r = np.zeros(0, dtype=np.int64)
             self.drift_cont = np.zeros(0)
             self.stop = np.zeros(0)
             self.cont = np.zeros(0)
 
     def _grow(self, width: int, steps: int) -> None:
-        for name in ("y_b", "size", "ssum"):
+        for name in ("y_b", "ssum"):
             old = getattr(self, name)
             new = np.zeros(steps, dtype=old.dtype)
             new[: len(old)] = old
             setattr(self, name, new)
-        for name in ("drift_r", "drift_cont", "stop", "cont"):
+        for name in ("drift_cont", "stop", "cont"):
             old = getattr(self, name)
             new = np.zeros(width, dtype=old.dtype)
             new[width - len(old) :] = old
@@ -399,8 +397,7 @@ class _Sweep:
             for r, cut_r, end_r, stale_r in zip(range(start, n), memoryview(cut),
                                                 memoryview(end), memoryview(stale)):
                 j = n - r
-                lo, hi = model.support(j)
-                self.size[r] = hi - lo + 1
+                lo = model.support(j)[0]
                 lat.stop_col(j, s_col, cut_r)
                 s_col[cut_r:stale_r] = 0.0
                 if r:
@@ -426,20 +423,16 @@ class _Sweep:
                     # largest x with s >= v, which lies inside the exp prefix
                     np.greater_equal(s_col[lo:cut_r], cont[lo:cut_r], out=hit[lo:cut_r])
                     self.y_b[r] = x_max + 1 - cut_r + hit[lo:cut_r][::-1].argmax()
+                    if r and self.y_b[r] < self.y_b[r - 1]:
+                        raise PrecisionError(f"drift windows overlap: b_{j} > b_{j + 1}")
                 bj = x_max - int(self.y_b[r])
                 if bj >= lo:
                     self.ssum[r] = np.add.reduce(s_col[lo : bj + 1])
 
                 # Drift mass at y in the window (b_j, b_{j+1}] is
-                # P(M_j = y) v(j, y).  Nondecreasing thresholds make the
-                # windows disjoint, so each y keeps its window's step.
+                # P(M_j = y) v(j, y); the windows are disjoint.
                 window = slice(bj + 1, x_max - int(self.y_b[r - 1]) + 1 if r else 0)
-                if window.stop > window.start:
-                    if np.logical_or.reduce(self.drift_r[window]):
-                        self.overlap_from = min(self.overlap_from, r)
-                    else:
-                        self.drift_r[window] = r
-                        self.drift_cont[window] = cont[window]
+                self.drift_cont[window] = cont[window]
 
                 if tables is not None:
                     tables[0][j, lo:end_r] = s_col[lo:end_r]
@@ -460,19 +453,18 @@ class _Sweep:
         n = model.n from the first n records, with the consistency gate on
         the optimal rule.  lat is model's lattice."""
         n, x_max = model.n, model.support(model.n)[1]
-        if self.overlap_from < n:
-            raise PrecisionError("drift windows overlap: the thresholds are not nondecreasing")
         b = x_max - self.y_b[n - 1 :: -1]
-        size = self.size[n - 1 :: -1]
+        size = x_max + 1 - np.broadcast_to(model._interval(np.arange(1, n + 1))[0], n)
         # Jump mass at step j is P(M_{j-1} >= b_j + 1) * ssum_j / size_j.
         pm = lat.prob_min_ge(np.arange(n), b + 1)
         jump = math.fsum(pm * self.ssum[n - 1 :: -1] / size)
-        at = len(self.drift_r) - 1 - x_max
-        window_r = self.drift_r[at:]
-        ys = np.flatnonzero((window_r > 0) & (window_r < n))
+        # y in (b_1, b_n] lies in the drift window (b_j, b_{j+1}] of step
+        # j = #{i : b_i < y}.
+        ys = np.arange(b[0] + 1, b[-1] + 1)
+        js = np.searchsorted(b, ys)
         # P(M_j = y) = P(M_j >= y) - P(M_j >= y + 1)
-        pge = lat.prob_min_ge(n - window_r[ys, None], ys[:, None] + np.array([0, 1]))
-        drift = math.fsum((pge[:, 0] - pge[:, 1]) * self.drift_cont[at:][ys])
+        pge = lat.prob_min_ge(js[:, None], ys[:, None] + np.array([0, 1]))
+        drift = math.fsum((pge[:, 0] - pge[:, 1]) * self.drift_cont[ys - x_max - 1])
         if optimal:
             v0 = float(self.vsum[n]) / size[0]
             if abs(jump + drift - v0) > _CONSISTENCY_TOL:

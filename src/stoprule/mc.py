@@ -47,6 +47,7 @@ __all__ = [
 _BLOCK_TARGET = 4_000_000  # floats per block: one Philox stream, one task
 _CHUNK_TARGET = 1 << 16  # floats drawn and scanned at a time within a block
 MAX_DRAWS = 10 ** 10  # cap on replications * n of one simulation
+MAX_SCALING_REPLICATIONS = 10 ** 7  # scaling_check holds them all: 80 MB at 10^6
 _X_HI = 8.0  # end of the scaling-check comparison range, in units of the scale
 
 
@@ -221,10 +222,14 @@ def scaling_check(model: ObservationModel, replications: int = 100_000,
 
     Only steps j <= _X_HI * scale can produce minima below the comparison
     range, so sampling is truncated there; the neglected mass is bounded by
-    the limit tail at _X_HI (e^{-32} for the Rayleigh law).
+    the limit tail at _X_HI (e^{-32} for the Rayleigh law).  ResourceLimitError,
+    before any draw: replications above MAX_SCALING_REPLICATIONS, or
+    replications or the integer grid size times j_cut above MAX_DRAWS.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
+    if replications > MAX_SCALING_REPLICATIONS:
+        raise ResourceLimitError(f"replications above cap {MAX_SCALING_REPLICATIONS}")
     scale, limit_cdf = _scaling_spec(model)
     n = model.n
     if n < 10:
@@ -232,6 +237,9 @@ def scaling_check(model: ObservationModel, replications: int = 100_000,
                              f"n={n} too small for an asymptotic check")
     j_cut = min(n, int(math.ceil(_X_HI * scale)) + 1)
     cap = _X_HI * scale
+    grid_size = math.floor(cap) if model.kind in (TRIANGULAR, TREND_SHIFTED) else 0
+    if max(replications, grid_size) * j_cut > MAX_DRAWS:
+        raise ResourceLimitError(f"replications or grid size * j_cut = {j_cut} above cap {MAX_DRAWS}")
 
     samples = np.concatenate(_map_blocks(
         lambda chunks: np.concatenate([x.min(axis=1) for x in chunks]),
@@ -246,10 +254,10 @@ def scaling_check(model: ObservationModel, replications: int = 100_000,
     cdf_lim = limit_cdf(scaled)
     sup_limit = float(np.max(np.maximum(ranks - cdf_lim, cdf_lim - (ranks - 1.0 / replications))))
 
-    if model.kind in (TRIANGULAR, TREND_SHIFTED):
+    if grid_size:
         # Integer-valued minima: ECDF and the exact cdf share their jump
         # points, so the sup distance is attained on the integer grid.
-        grid = np.arange(1.0, math.floor(cap) + 1.0)
+        grid = np.arange(1.0, grid_size + 1.0)
         ecdf = np.searchsorted(sorted_raw, grid, side="right") / replications
         exact = 1.0 - _min_survival(model, grid, j_cut)
         sup_exact = float(np.max(np.abs(ecdf - exact)))

@@ -397,14 +397,13 @@ def _check_lam(lam: float) -> None:
 def rect_roots(k_max: int, lam: float = 1.0) -> BoundaryLadder:
     """Ladder of boundary roots z_k and cutoffs t_k = 1 - ln(z_k)/lam for the
     integer-level model with intensity lam.  Level-1 stopping is always
-    optimal (t_1 = 0); roots at or above e^lam are clamped there.  A k_max
-    below 1 raises DomainError, one above MAX_LEVELS ResourceLimitError."""
+    optimal (t_1 = 0); ln z_k is clamped at lam (z_k = e^lam, t_k = 0).  A
+    k_max below 1 raises DomainError, one above MAX_LEVELS ResourceLimitError."""
     _check_levels(k_max)
     _check_lam(lam)
-    roots = np.exp(_log_roots(k_max))
-    np.minimum(roots, math.exp(lam), out=roots)
-    cutoffs = 1.0 - np.log(roots) / lam
-    cutoffs = np.clip(cutoffs, 0.0, 1.0)
+    logs = _log_roots(k_max)
+    roots = np.minimum(np.exp(logs), math.exp(lam))
+    cutoffs = 1.0 - np.minimum(logs, lam) / lam
     cutoffs[0] = math.nan
     return BoundaryLadder(cutoffs=cutoffs, roots=roots, lam=lam)
 

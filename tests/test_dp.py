@@ -199,27 +199,54 @@ class TestSolve:
         with pytest.raises(PrecisionError):
             dp.solve(ObservationModel.triangular(5))
 
-    def test_overlapping_drift_windows_raise_precision_error(self, monkeypatch, own_records):
-        # A stop column of ones at step 3 puts b_3 at the top of the support
-        # while b_2 and b_4 stay low, so the drift window (b_2, b_3] overlaps
-        # the windows of later steps.  The sweep runs on records of its own.
+    @staticmethod
+    def ones_at_steps_left(monkeypatch, steps_left):
+        """Make the stop column at steps_left = n - j all ones, which puts
+        b_j at the top of its exp prefix while b_{j+1} stays low."""
         lattice_for = dp._lattice_for
 
         def patched(model):
             lat = lattice_for(model)
             stop_col = lat.stop_col
 
-            def ones_at_step_3(j, out, cut):
+            def ones(j, out, cut):
                 stop_col(j, out, cut)
-                if j == 3:
+                if model.n - j == steps_left:
                     out[j:cut] = 1.0
 
-            lat.stop_col = ones_at_step_3
+            lat.stop_col = ones
             return lat
 
         monkeypatch.setattr(dp, "_lattice_for", patched)
+        return lattice_for
+
+    @staticmethod
+    def assert_no_records(records):
+        assert records.steps == 0 and records.vsum == {}
+        assert all(len(getattr(records, name)) == 0
+                   for name in ("y_b", "ssum", "drift_cont", "stop", "cont"))
+
+    def test_overlapping_drift_windows_raise_precision_error(self, monkeypatch, own_records):
+        # b_3 > b_4 at n = 30, so the drift window (b_2, b_3] would overlap
+        # the windows of later steps: the sweep stops there and keeps no
+        # record.  The sweep runs on records of its own.
+        self.ones_at_steps_left(monkeypatch, 27)
         with pytest.raises(PrecisionError, match="overlap"):
             dp.solve(ObservationModel.triangular(30))
+        self.assert_no_records(own_records)
+
+    def test_decreasing_threshold_clears_the_shared_records(self, monkeypatch):
+        # Records of n = 20 are clean; extending them to n = 30 meets the
+        # faulty column at 27 steps left and must drop them all.
+        dp._TRIANGULAR.clear()
+        lattice_for = self.ones_at_steps_left(monkeypatch, 27)
+        dp.solve(ObservationModel.triangular(20))
+        assert dp._TRIANGULAR.steps == 20
+        with pytest.raises(PrecisionError, match="overlap"):
+            dp.solve(ObservationModel.triangular(30))
+        self.assert_no_records(dp._TRIANGULAR)
+        monkeypatch.setattr(dp, "_lattice_for", lattice_for)
+        assert bits(dp.solve(ObservationModel.triangular(30))) == bits(cold_solve(30))
 
     def test_solution_json(self):
         sol = dp.solve(ObservationModel.rectangular(3, 3))
@@ -792,7 +819,7 @@ class TestSharedTriangularRecords:
         monkeypatch.setattr(dp._Sweep, "advance", counted)
         records = dp._TRIANGULAR
         records.clear()
-        names = ("y_b", "size", "ssum", "drift_r", "drift_cont", "stop", "cont")
+        names = ("y_b", "ssum", "drift_cont", "stop", "cont")
         for n in (500, 200, 800, 500, 600, 800):
             before = [getattr(records, name).copy() for name in names], dict(records.vsum)
             assert bits(dp.solve(ObservationModel.triangular(n))) == cold[n], n
@@ -869,7 +896,8 @@ def pass_bits(model, whole):
     sweep = dp._Sweep()
     sweep.advance(lat, model, tables=(_DiscardedTable(),) * 2 if whole else None)
     b, jump, drift = sweep.horizon(lat, model)
-    return (b.tolist(), jump.hex(), drift.hex()), sweep.vsum[model.n] / sweep.size[model.n - 1]
+    lo, hi = model.support(1)
+    return (b.tolist(), jump.hex(), drift.hex()), sweep.vsum[model.n] / (hi - lo + 1)
 
 
 @pytest.mark.parametrize("model", [

@@ -346,6 +346,22 @@ class TestScalingCheck:
         with pytest.raises(DomainError, match="replications must be >= 1"):
             mc.scaling_check(ObservationModel.trend_shifted(100), replications=0)
 
+    @pytest.mark.parametrize("model, reps", [
+        (ObservationModel.triangular(100), mc.MAX_SCALING_REPLICATIONS + 1),
+        # j_cut = 8001: 1.6e10 draws
+        (ObservationModel.trend_scaled(10**6, 1.0), 2_000_000),
+        # grid and j_cut near 8 sqrt(n): 6.4e10 survival factors
+        (ObservationModel.triangular(10**9), 10),
+    ], ids=["replications", "draws", "grid"])
+    def test_refused_before_any_draw(self, monkeypatch, model, reps):
+        def unreachable(*args):
+            raise AssertionError("a refused check must not draw")
+
+        monkeypatch.setattr(mc, "_map_blocks", unreachable)
+        monkeypatch.setattr(mc, "_min_survival", unreachable)
+        with pytest.raises(ResourceLimitError, match="above cap"):
+            mc.scaling_check(model, replications=reps)
+
 
 class TestBoundsCheck:
     def test_exact_and_simulated_bounds(self):

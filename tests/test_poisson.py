@@ -494,6 +494,28 @@ class TestLadder:
         assert ladder.root(3) < math.exp(lam)
         assert ladder.cutoff(3) > 0.0
 
+    @pytest.mark.parametrize("lam", [1e-6, 1e-17])
+    def test_clamped_levels_have_zero_cutoffs_at_small_intensity(self, lam):
+        # every level of k <= 3 is clamped here, and e^lam rounds to 1 at 1e-17
+        ladder = poisson.rect_roots(3, lam)
+        assert np.all(ladder.roots[1:] == math.exp(lam))
+        assert np.all(ladder.cutoffs[1:] == 0.0)
+
+    def test_cutoffs_match_mpmath(self):
+        # t_k = 1 - ln(z_k)/lam against a 40-digit Newton root of
+        # sum_{j=2}^k expm1(j u)/j = 1 in u = ln z_k: t_k read from ln z_k
+        # itself, not from log(exp(ln z_k)), is right to the last bits
+        lam = 0.003
+        ladder = poisson.rect_roots(5000, lam)
+        with mpmath.workdps(40):
+            for k in (400, 1000, 2000, 5000):
+                u = mpmath.mpf(math.log(ladder.root(k)))
+                js = range(2, k + 1)
+                for _ in range(4):
+                    f = mpmath.fsum(mpmath.expm1(j * u) / j for j in js) - 1
+                    u -= f / mpmath.fsum(mpmath.exp(j * u) for j in js)
+                assert abs(ladder.cutoff(k) - (1 - u / lam)) <= 1e-16, k
+
     @pytest.mark.parametrize("lam", [1.0, 0.5, 0.003])
     def test_roots_match_brentq(self, reference_ladder, lam):
         got = poisson.rect_roots(3000, lam).roots[1:]
