@@ -118,22 +118,24 @@ def _parse_grid(text: str):
     return [lo + i * step for i in range(count)]
 
 
-# Most work in a grid of horizons: the sum of n^2 over its points, the lattice
-# cells of a rectangular(n, n) sweep, which runs one pass per point.  A
-# triangular sweep costs about one pass to its largest n, since dp keeps the
-# triangular records by steps left; the one cap still bounds both.  The
-# dearest grid, 10^5 rectangular passes of n = 1000 at about 20 ns a cell (the
-# most per cell, on one 2-core Xeon), takes about 30 minutes.
-_MAX_GRID_CELLS = 10**11
+# Most work in a grid of horizons: the sum of n over its points.  The windowed
+# DP pass and fullinfo's sums cost per step, not per lattice cell: in-process,
+# on one 2-core Xeon, rectangular(n, n) takes about 10 us a step from n = 300
+# to 10^4 (4.7 ms a pass at n = 400, 0.35 ms at n = 10) and sakaguchi_value(n)
+# 5 to 12 us.  So the dearest grids under this cap and the point cap, 4000
+# fullinfo points of n = 10^4 and 10^5 rectangular points of n = 400, take
+# about 8 minutes.  A triangular sweep costs one pass to its largest n and
+# about 0.4 us a step more.
+_MAX_GRID_STEPS = 4 * 10**7
 
 
 def _parse_horizons(text: str) -> list[int]:
     ns = [int(round(v)) for v in _parse_grid(text)]
-    cells = sum(n * n for n in ns)
-    if cells > _MAX_GRID_CELLS:
+    steps = sum(ns)
+    if steps > _MAX_GRID_STEPS:
         raise StopRuleError(
-            f"grid {text!r} needs {cells:.3g} cells (sum of n^2), above the cap of "
-            f"{_MAX_GRID_CELLS:.0e}"
+            f"grid {text!r} needs {steps:.3g} steps (sum of n), above the cap of "
+            f"{_MAX_GRID_STEPS:.0e}"
         )
     return ns
 

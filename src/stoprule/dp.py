@@ -14,11 +14,11 @@ value v0.  Stop columns and P(M_m >= y) are exp of a log-space closed form
 (log-gamma differences for the triangular kind, from one shared log Gamma
 table at the integers that equals scipy's gammaln bit for bit), so no
 intermediate product under/overflows even at n ~ 10^4.  The logs that do not
-depend on the step are computed once per lattice.  The sweep reuses two stop
-and two continuation columns.  The thresholds are nondecreasing (a pass that
-finds otherwise raises PrecisionError), so the drift windows tile (b_1, b_n]
-in step order and the step of each y follows from them: the sweep records
-only v(m, y), and one P(M_m >= y) call and one fsum give the drift mass.
+depend on the step are computed once per lattice.  The thresholds are
+nondecreasing (a pass that finds otherwise raises PrecisionError), so the
+drift windows tile (b_1, b_n] in step order and the step of each y follows
+from them: the sweep records only v(m, y), and one P(M_m >= y) call and one
+fsum give the drift mass.
 
 Each step touches only the cells its outputs read.  A policy pass fills the
 columns of step j only on [lo_j, b_{j+1}]: the jump sum reads s(j, .) up to
@@ -53,7 +53,10 @@ its 41M cells.  Passes with value tables fill whole columns.
 The work is split in two halves.  The backward half (`_Sweep.advance`) keeps
 per-step records by steps left r = n - j: threshold, jump sum and
 drift-window values, the backward sum at its frontier, plus the frontier's
-two columns, so it can go on from where it stopped.  The forward half
+two columns, so it can go on from where it stopped.  It goes through blocks
+of steps: one exp over a block's box fills its stop rows and a few calls
+over the box give its thresholds and drift windows, so only the recursion
+and the jump sums cost numpy calls at every step.  The forward half
 (`_Sweep.horizon`) forms the factors P(M_{j-1} >= .), the jump and drift
 fsums and the consistency gate for one horizon in O(n).  For the triangular
 kind the records do not depend on n: in y = n - x, X_j is uniform on
@@ -211,26 +214,18 @@ class _TriLattice:
         self.n = n
         self._lg = _log_gamma_ints(n + 3)
         x = np.arange(n + 1)
-        self._steps = np.arange(-1.0, n)  # x - j - 1 for x = j, j + 1, ...
         self._log_room = np.log(n - x + 1.0)
         self._lg_room = self._lg[n - x + 2]
 
     def log_stop(self, j, x):
-        """log s(j, x), elementwise in integer arrays j and x with j <= x <= n,
-        by the operations `stop_col` sends through exp."""
-        return (x - j - 1.0) * self._log_room[x] + self._lg_room[x] - self._lg[self.n - j + 1]
-
-    def stop_col(self, j: int, out: np.ndarray, cut: int) -> None:
-        """s(j, x) = prod_{i=0}^{x-j-1} (n-x+1)/(n-j-i) for x in [j, cut),
-        written to out[j:cut]."""
-        col = out[j:cut]
-        np.multiply(self._steps[: cut - j], self._log_room[j:cut], out=col)
-        np.add(col, self._lg_room[j:cut], out=col)
-        np.subtract(col, self._lg[self.n - j + 1], out=col)
-        np.exp(col, out=col)
-        # Clip float overshoot from the lgamma differences (values are
-        # probabilities, mathematically <= 1).
-        np.minimum(col, 1.0, out=col)
+        """log s(j, x) of s(j, x) = prod_{i=0}^{x-j-1} (n-x+1)/(n-j-i),
+        elementwise in integer arrays j and x with j <= x <= n, through
+        log-gamma differences."""
+        log = x - (j + 1.0)  # each step in place: a box is one array, not four
+        log *= self._log_room[x]
+        log += self._lg_room[x]
+        log -= self._lg[self.n - j + 1]
+        return log
 
     def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
         """P(M_j >= y) for an integer array y (entries may reach n + 1),
@@ -253,13 +248,9 @@ class _RectLattice:
         self._log_surv = np.log(k - np.arange(1, k + 1) + 1.0) - math.log(k)
 
     def log_stop(self, j, x):
-        """log s(j, x), elementwise in integer arrays j and x with 1 <= x <= K."""
+        """log s(j, x) of s(j, x) = ((K-x+1)/K)^(n-j), elementwise in integer
+        arrays j and x with 1 <= x <= K."""
         return (self.n - j) * self._log_surv[x - 1]
-
-    def stop_col(self, j: int, out: np.ndarray, cut: int) -> None:
-        """s(j, x) = ((K-x+1)/K)^(n-j) for x in [1, cut), written to out[1:cut]."""
-        np.multiply(self.n - j, self._log_surv[: cut - 1], out=out[1:cut])
-        np.exp(out[1:cut], out=out[1:cut])
 
     def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
         return self.model.survival(1, ys - 1) ** j
@@ -272,6 +263,24 @@ def _lattice_for(model: ObservationModel):
     if x_max > LATTICE_WIDTH_CAP:  # refused before any column is allocated
         raise ResourceLimitError(f"lattice width {x_max} is above cap {LATTICE_WIDTH_CAP}")
     return _TriLattice(model.n) if model.kind == TRIANGULAR else _RectLattice(model)
+
+
+# Cells of the box of a block of steps in `_Sweep.advance` (256 KB as floats).
+_BLOCK_CELLS = 1 << 15
+
+
+def _stop_rows(lat, j, x, cut, out):
+    """s(j, x) into out, for columns j and cut (one entry a step) and a row x
+    of lattice values: exp of the log `_windows` bisects, clamped at 1, where
+    x < cut (the mask returned), and +0.0 from cut on, where the log is zeroed
+    first (exp is slow on underflow).  Cells below lo_j hold junk."""
+    inside = x < cut
+    s = lat.log_stop(j, x)
+    np.multiply(s, inside, out=s)
+    np.exp(s, out=s)
+    np.minimum(s, 1.0, out=s)  # float overshoot of the lgamma differences
+    np.multiply(s, inside, out=out)
+    return inside
 
 
 def _windows(lat, model: ObservationModel, start: int):
@@ -346,15 +355,20 @@ class _Sweep:
         steps already recorded must be the last steps of model too, swept
         for no larger horizon, and the columns no wider than its lattice.
 
-        Step j fills its columns on [lo_j, end_j) and they read +0.0 from
-        there to where they were filled two steps before.  A pass with
-        tables fills whole columns.  A policy pass stops at min(hi,
-        max(lo_j, b_{j+1})) (b_n at the last step): its jump sum, its drift
-        window and the step before read no further, so its frontier columns
-        cannot be extended.  The optimal pass without tables takes its
-        stop-column cuts and fill ends from `_windows` (see the module
-        docstring); if its new steps would widen the window an earlier
-        record was filled on, it sweeps anew from r = 0."""
+        Step j fills its columns on [lo_j, end_j); they read +0.0 elsewhere.
+        A pass with tables fills whole columns.  A policy pass stops at
+        min(hi, max(lo_j, b_{j+1})) (b_n at the last step): its jump sum,
+        its drift window and the step before read no further, so its
+        frontier columns cannot be extended.  The optimal pass without
+        tables takes its stop-column cuts and fill ends from `_windows` (see
+        the module docstring); if its new steps would widen the window an
+        earlier record was filled on, it sweeps anew from r = 0.
+
+        Consecutive steps go in blocks whose box, the steps by [min lo_j,
+        max end_j), has at most _BLOCK_CELLS cells or one step.  One exp
+        over the box fills the stop rows; a few calls over it give the
+        thresholds, overlap check and drift windows.  The recursion and jump
+        sums go step by step, on the slices a column pass would use."""
         n, x_max = model.n, model.support(model.n)[1]
         start, width, optimal = self.steps, x_max + 1, thresholds is None
         if optimal and tables is None:
@@ -363,90 +377,86 @@ class _Sweep:
                 self.clear()
                 return self.advance(lat, model)
         self._grow(width, n)
+        j = n - np.arange(start, n)
+        lo = model._interval(j)[0] + 0 * j
+        lo1 = model._interval(np.minimum(j + 1, n))[0] + 0 * j  # lo_{j+1}
         if not optimal:
             # clamp to [0, x_max]: anything below the support stops nothing
             b = np.clip(np.floor(thresholds[::-1]), 0, x_max).astype(np.int64)
             self.y_b[:] = x_max - b
             # a policy reads step j only up to b_{j+1} (b_n at the last step)
-            lo = model._interval(n - np.arange(n))[0]
             cut = end = np.minimum(x_max, np.maximum(lo, b[np.r_[0, : n - 1]])) + 1
         elif tables is not None:
             cut = end = np.full(n - start, width)
         self.filled_from = max(self.filled_from, width - int(end.min()))
-        # Two stop and two continuation columns, swapped every step: fresh
-        # ones, or the frontier's, filled whole.  Entries below the support
-        # are never written, so cont stays 0 there; the recurrence fills
-        # cont[lo1:end] and cont[lo:lo1] is zeroed.  Each column is zeroed
-        # from its end up to where it was filled two steps before (stale).
-        stale = np.maximum(end, np.r_[0, width if start else 0, end][: n - start])
-        s_col, s_next = np.zeros(width), self.stop
-        cont, cont_next = np.zeros(width), self.cont
-        w = np.empty(width)
-        tail = np.empty(width)
-        # P(X_{j+1} > x) = (x_max - x) / size on the support (both kinds have
-        # hi = x_max at every step).  Rebuilt only when the support moves:
-        # every step for triangular, once for rectangular, at r = 1, whose
-        # end is the largest (whole in an optimal pass; a policy pass's ends
-        # only fall as r grows).
+        # The frontier step's columns, filled on `front`; the boxes of a
+        # block: stop rows, continuation rows and P(X_{j+1} > x).
+        s_front, c_front, front, i0 = self.stop, self.cont, slice(0, width), 0
         room = np.arange(x_max, -1.0, -1.0)
-        p_above = np.empty(width)
-        above_support = None
-        hit = np.empty(width, dtype=bool)
+        buffers = np.empty((3, min(max(_BLOCK_CELLS, width), (n - start) * width)))
         try:
-            # (memoryviews yield one int at a time; lists would hold n of each)
-            for r, cut_r, end_r, stale_r in zip(range(start, n), memoryview(cut),
-                                                memoryview(end), memoryview(stale)):
-                j = n - r
-                lo = model.support(j)[0]
-                lat.stop_col(j, s_col, cut_r)
-                s_col[cut_r:stale_r] = 0.0
-                if r:
-                    lo1, hi1 = model.support(j + 1)
-                    size = hi1 - lo1 + 1
-                    cont[lo:lo1] = 0.0
-                    acc, pt = w[lo1:end_r], tail[lo1:end_r]
-                    if optimal:
-                        np.maximum(s_next[lo1:end_r], cont_next[lo1:end_r], out=acc)
-                        np.add.accumulate(acc, out=acc)
-                    else:
-                        np.add.accumulate(s_next[lo1:end_r], out=acc)
-                    np.divide(acc, size, out=acc)
-                    if above_support != (lo1, hi1):
-                        above_support = (lo1, hi1)
-                        np.divide(room[lo1:end_r], size, out=p_above[lo1:end_r])
-                    np.multiply(p_above[lo1:end_r], cont_next[lo1:end_r], out=pt)
-                    np.add(acc, pt, out=cont[lo1:end_r])
-                    np.minimum(cont[lo1:end_r], 1.0, out=cont[lo1:end_r])
-                    cont[end_r:stale_r] = 0.0
-
+            while i0 < len(j):
+                # box widths only grow along a block, as lo_j falls
+                span = slice(i0, i0 + max(1, _BLOCK_CELLS // int(end[i0] - lo[i0])))
+                box = np.maximum.accumulate(end[span]) - lo[span]
+                rows = max(1, int((box * np.arange(1, len(box) + 1) <= _BLOCK_CELLS).sum()))
+                blk, r0, xlo = slice(i0, i0 + rows), start + i0, int(lo[i0 + rows - 1])
+                xhi = xlo + int(box[rows - 1])
+                buffers[:2, : rows * (xhi - xlo)] = 0.0
+                stop, cont, p_above = buffers[:, : rows * (xhi - xlo)].reshape(3, rows, -1)
+                # the stop rows are +0.0 from the block's largest cut on
+                x = np.arange(xlo, int(cut[blk].max()))
+                inside = _stop_rows(lat, j[blk, None], x, cut[blk, None], stop[:, : len(x)])
+                # P(X_{j+1} > x) = (x_max - x) / size_{j+1} on the support
+                size = x_max + 1.0 - lo1[blk]
+                np.divide(room[xlo:xhi], size[:, None], out=p_above)
+                s_rows, c_rows = [s_front[xlo:xhi], *stop], [c_front[xlo:xhi], *cont]
+                for i, (sz, a, e) in enumerate(zip(size.tolist(), (lo1[blk] - xlo).tolist(),
+                                                   (end[blk] - xlo).tolist())):
+                    if r0 + i:  # col = min(cumsum / size + P(X_{j+1} > x) nxt, 1)
+                        nxt, col, pt = c_rows[i][a:e], c_rows[i + 1][a:e], p_above[i, a:e]
+                        if optimal:
+                            np.maximum(s_rows[i][a:e], nxt, out=col)
+                            np.add.accumulate(col, out=col)
+                        else:
+                            np.add.accumulate(s_rows[i][a:e], out=col)
+                        np.divide(col, sz, out=col)
+                        np.multiply(pt, nxt, out=pt)
+                        np.add(col, pt, out=col)
+                        np.minimum(col, 1.0, out=col)
+                    if tables is not None:  # whole columns: e is the box's end
+                        a = int(lo[i0 + i]) - xlo
+                        tables[0][n - r0 - i, xlo + a :] = stop[i, a:]
+                        tables[1][n - r0 - i, xlo + a :] = cont[i, a:]
+                y_b = self.y_b[r0 : r0 + rows]
+                prev = int(self.y_b[r0 - 1] if r0 else y_b[0])
                 if optimal:
-                    # largest x with s >= v, which lies inside the exp prefix
-                    np.greater_equal(s_col[lo:cut_r], cont[lo:cut_r], out=hit[lo:cut_r])
-                    self.y_b[r] = x_max + 1 - cut_r + hit[lo:cut_r][::-1].argmax()
-                    if r and self.y_b[r] < self.y_b[r - 1]:
-                        raise PrecisionError(f"drift windows overlap: b_{j} > b_{j + 1}")
-                bj = x_max - int(self.y_b[r])
-                if bj >= lo:
-                    self.ssum[r] = np.add.reduce(s_col[lo : bj + 1])
-
-                # Drift mass at y in the window (b_j, b_{j+1}] is
-                # P(M_j = y) v(j, y); the windows are disjoint.
-                window = slice(bj + 1, x_max - int(self.y_b[r - 1]) + 1 if r else 0)
-                self.drift_cont[window] = cont[window]
-
-                if tables is not None:
-                    tables[0][j, lo:end_r] = s_col[lo:end_r]
-                    tables[1][j, lo:end_r] = cont[lo:end_r]
-                s_col, s_next = s_next, s_col
-                cont, cont_next = cont_next, cont
+                    # largest x in [lo_j, cut_j) with s >= v: it holds at
+                    # lo_j, where s = 1 or v = 0, so below lo_j reads nothing
+                    hit = (stop[:, : len(x)] >= cont[:, : len(x)]) & inside
+                    y_b[:] = x_max - x[-1] + hit[:, ::-1].argmax(axis=1)
+                    if np.any(down := np.diff(y_b, prepend=prev) < 0):
+                        bad = n - r0 - int(down.argmax())
+                        raise PrecisionError(f"drift windows overlap: b_{bad} > b_{bad + 1}")
+                # jump sums over [lo_j, b_j] (empty when b_j < lo_j)
+                ends = (np.maximum(x_max + 1 - y_b, lo[blk]) - xlo).tolist()
+                self.ssum[r0 : r0 + rows] = [np.add.reduce(row[a:e]) for row, a, e in
+                                             zip(s_rows[1:], (lo[blk] - xlo).tolist(), ends)]
+                # Drift mass at y in the window (b_j, b_{j+1}] is P(M_j = y)
+                # v(j, y); the windows are disjoint, y_b[r - 1] <= x_max - y <
+                # y_b[r] at step r, and v = 0 below the box (and the support).
+                xs = x_max - np.arange(prev, min(int(y_b[-1]), x_max + 1 - xlo))
+                self.drift_cont[xs] = cont[y_b.searchsorted(x_max - xs, "right"), xs - xlo]
+                s_front[front], c_front[front], front = 0.0, 0.0, slice(xlo, xhi)
+                s_front[front], c_front[front] = stop[-1], cont[-1]
+                i0 += rows
             if optimal:  # the frontier's backward sum
                 lo = model.support(1)[0]
-                np.maximum(s_next[lo:], cont_next[lo:], out=w[lo:])
-                self.vsum[n] = np.add.accumulate(w[lo:], out=w[lo:])[-1]
+                self.vsum[n] = np.add.accumulate(np.maximum(s_front[lo:], c_front[lo:]))[-1]
         except BaseException:
             self.clear()  # a half-swept frontier must not be extended later
             raise
-        self.stop, self.cont, self.steps = s_next, cont_next, n
+        self.stop, self.cont, self.steps = s_front, c_front, n
 
     def horizon(self, lat, model: ObservationModel, optimal: bool = True):
         """Forward half: thresholds b_1..b_n, jump and drift of the horizon

@@ -486,26 +486,39 @@ class TestErrors:
         ("fullinfo", "--sweep", "1000:1001:1"),
     ], ids=["triangular", "rectangular", "fullinfo"])
     def test_grid_over_work_cap_exits_1(self, capsys, monkeypatch, args):
-        # 1000^2 + 1001^2 cells, one over the cap: refused before any solve
+        # 1000 + 1001 steps, one over the cap: refused before any solve
         def unreachable(*_):
             raise AssertionError("a grid over the cap reached the solver")
 
         monkeypatch.setattr(cli.dp, "solve", unreachable)
         monkeypatch.setattr(cli.fullinfo, "sakaguchi_value", unreachable)
-        monkeypatch.setattr(cli, "_MAX_GRID_CELLS", 1000**2 + 1001**2 - 1)
+        monkeypatch.setattr(cli, "_MAX_GRID_STEPS", 1000 + 1001 - 1)
         code, out, err = run_cli(capsys, *args)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        monkeypatch.setattr(cli, "_MAX_GRID_CELLS", 1000**2 + 1001**2)
+        monkeypatch.setattr(cli, "_MAX_GRID_STEPS", 1000 + 1001)
         assert cli._parse_horizons("1000:1001:1") == [1000, 1001]
 
     def test_work_cap_admits_default_grids(self):
         for grid in (cli._SWEEP_GRIDS["triangular"], cli._SWEEP_GRIDS["rectangular"], "10:500:10"):
             cli._parse_horizons(grid)
-        # 99,010 points, under the point cap, but about 8.9e12 cells
+        # 99,010 points, under the point cap, but about 9.4e8 steps
         with pytest.raises(cli.StopRuleError):
             cli._parse_horizons("9000:10000:0.0101")
+
+    @pytest.mark.parametrize("grid, steps, over", [
+        ("1:8943:1", 8943 * 8944 // 2, "1:8944:1"),
+        ("10000:10000.39995:0.0001", 4000 * 10000, "10000:10000.40005:0.0001"),
+    ], ids=["1..K", "4000-points-of-1e4"])
+    def test_work_cap_boundary(self, grid, steps, over):
+        # The largest 1..K grid under the cap, and 4000 points of n = 10^4
+        # right at it; one more point takes each over.
+        assert steps <= cli._MAX_GRID_STEPS
+        assert sum(cli._parse_horizons(grid)) == steps
+        assert len(cli._parse_grid(over)) == len(cli._parse_grid(grid)) + 1
+        with pytest.raises(cli.StopRuleError, match="steps"):
+            cli._parse_horizons(over)
 
     @pytest.mark.parametrize("args", [
         ("fullinfo", "--n", "41"),

@@ -201,24 +201,18 @@ class TestSolve:
 
     @staticmethod
     def ones_at_steps_left(monkeypatch, steps_left):
-        """Make the stop column at steps_left = n - j all ones, which puts
-        b_j at the top of its exp prefix while b_{j+1} stays low."""
-        lattice_for = dp._lattice_for
+        """Make the stop row at steps_left = n - j all ones on [j, cut_j),
+        which puts b_j at the top of its exp prefix while b_{j+1} stays low."""
+        stop_rows = dp._stop_rows
 
-        def patched(model):
-            lat = lattice_for(model)
-            stop_col = lat.stop_col
+        def ones(lat, j, x, cut, out):
+            inside = stop_rows(lat, j, x, cut, out)
+            row = lat.n - j[:, 0] == steps_left
+            out[row] = np.where(inside[row] & (x >= j[row]), 1.0, out[row])
+            return inside
 
-            def ones(j, out, cut):
-                stop_col(j, out, cut)
-                if model.n - j == steps_left:
-                    out[j:cut] = 1.0
-
-            lat.stop_col = ones
-            return lat
-
-        monkeypatch.setattr(dp, "_lattice_for", patched)
-        return lattice_for
+        monkeypatch.setattr(dp, "_stop_rows", ones)
+        return stop_rows
 
     @staticmethod
     def assert_no_records(records):
@@ -239,13 +233,13 @@ class TestSolve:
         # Records of n = 20 are clean; extending them to n = 30 meets the
         # faulty column at 27 steps left and must drop them all.
         dp._TRIANGULAR.clear()
-        lattice_for = self.ones_at_steps_left(monkeypatch, 27)
+        stop_rows = self.ones_at_steps_left(monkeypatch, 27)
         dp.solve(ObservationModel.triangular(20))
         assert dp._TRIANGULAR.steps == 20
         with pytest.raises(PrecisionError, match="overlap"):
             dp.solve(ObservationModel.triangular(30))
         self.assert_no_records(dp._TRIANGULAR)
-        monkeypatch.setattr(dp, "_lattice_for", lattice_for)
+        monkeypatch.setattr(dp, "_stop_rows", stop_rows)
         assert bits(dp.solve(ObservationModel.triangular(30))) == bits(cold_solve(30))
 
     def test_solution_json(self):
@@ -688,22 +682,31 @@ def test_stop_col_matches_closed_form_bit_for_bit(model):
     lat = dp._lattice_for(model)
     n, x_max = model.n, model.support(model.n)[1]
     cuts, _ = dp._windows(lat, model, 0)
+    refs = list(reference_stop_cols(model))
+    j = np.array([ref[0] for ref in refs])[:, None]
+    lo = model._interval(j)[0] + 0 * j
+    x = np.arange(1, x_max + 1)
+    # The stop rows of all n steps as one box at x = 1..x_max, with each
+    # step's whole column (a pass with tables), a column cut short (a policy
+    # pass) and the optimal pass's cut: the closed form's bits on [lo, cut)
+    # (+0.0 where exp underflows), +0.0 from cut on, and no entry written
+    # outside the box.  Below lo no output reads a row.
+    for cut in (np.full_like(j, x_max + 1), lo + (x_max + 2 - lo) // 2, cuts[n - j]):
+        out = np.full((n, x_max + 2), np.nan)
+        inside = dp._stop_rows(lat, j, x, cut, out[:, 1:-1])
+        assert np.array_equal(inside, x < cut)
+        assert np.all(np.isnan(out[:, [0, -1]]))
+        for (jj, want, _), row, c, l in zip(refs, out[:, :-1], cut[:, 0], lo[:, 0]):
+            assert np.array_equal(row[l:c].view(np.int64), want[l:c].view(np.int64)), jj
+            assert np.all(row[c:].view(np.int64) == 0), jj
     floor_seen = False
-    for j, want, arg in reference_stop_cols(model):
+    for j, want, arg in refs:
         lo = model.support(j)[0]
-        # the log argument that the bisection reads is the one stop_col
-        # sends through exp
+        # the log argument that the bisection reads is the one the stop rows
+        # send through exp
         xs = np.arange(lo, x_max + 1)
         got = lat.log_stop(np.full_like(xs, j), xs)
         assert np.array_equal(got.view(np.int64), arg.view(np.int64)), j
-        # A whole column, as a pass with tables asks for, and one cut short,
-        # as a policy pass asks for: the closed form's bits (+0.0 where exp
-        # underflows), and no entry outside [lo, cut) is written.
-        for cut in (x_max + 1, lo + (x_max + 2 - lo) // 2):
-            out = np.full(x_max + 1, np.nan)
-            lat.stop_col(j, out, cut)
-            assert np.array_equal(out[lo:cut].view(np.int64), want[lo:cut].view(np.int64)), j
-            assert np.all(np.isnan(out[:lo])) and np.all(np.isnan(out[cut:])), j
         if j == n:
             assert cuts[0] == x_max + 1  # the last stop column is whole
             continue
@@ -858,22 +861,16 @@ class TestSharedTriangularRecords:
 
     def test_interrupted_sweep_leaves_no_records(self, own_records, monkeypatch):
         dp.solve(ObservationModel.triangular(20))
-        lattice_for = dp._lattice_for
+        stop_rows = dp._stop_rows
 
-        def failing(model):
-            lat = lattice_for(model)
+        def failing(lat, j, x, cut, out):
+            raise KeyboardInterrupt
 
-            def stop_col(j, out, cut):
-                raise KeyboardInterrupt
-
-            lat.stop_col = stop_col
-            return lat
-
-        monkeypatch.setattr(dp, "_lattice_for", failing)
+        monkeypatch.setattr(dp, "_stop_rows", failing)
         with pytest.raises(KeyboardInterrupt):
             dp.solve(ObservationModel.triangular(25))
         assert own_records.steps == 0
-        monkeypatch.setattr(dp, "_lattice_for", lattice_for)
+        monkeypatch.setattr(dp, "_stop_rows", stop_rows)
         assert bits(dp.solve(ObservationModel.triangular(25))) == bits(cold_solve(25))
 
 
@@ -950,3 +947,51 @@ def test_extended_floored_records_keep_every_bit():
     warm = bits(dp.solve(ObservationModel.triangular(900)))
     assert warm == bits(cold_solve(900))
     assert warm == bits(dp.solve(ObservationModel.triangular(900), keep_tables=True))
+
+
+# ---------------------------------------------------------------------------
+# Blocks of steps
+# ---------------------------------------------------------------------------
+
+BLOCK_SOLVES = (*(ObservationModel.triangular(n) for n in (*range(1, 80), 361, 1500, 5050)),
+                *(ObservationModel.rectangular(n, k) for n, k in ((2, 9), (300, 40), (40, 300),
+                                                                 (2000, 500))))
+BLOCK_POLICY_MODELS = ("triangular/2", "triangular/3", "triangular/50", "triangular/361",
+                       "triangular/777", "triangular/1500", "rectangular/6/4",
+                       "rectangular/300/40", "rectangular/40/300", "rectangular/2000/500")
+
+
+def extended_bits(n):
+    """Thresholds, jump and drift (as hex) of triangular(n) from records first
+    swept to n // 3 + 1, which is not where a block of the cold pass starts."""
+    sweep = dp._Sweep()
+    for k in (n // 3 + 1, n):
+        model = ObservationModel.triangular(k)
+        sweep.advance(dp._lattice_for(model), model)
+    b, jump, drift = sweep.horizon(dp._lattice_for(model), model)
+    return b.tolist(), jump.hex(), drift.hex()
+
+
+def block_outputs():
+    """Every output the block size could move: cold passes with their v0,
+    which reads the cells past each step's window as +0.0, extended passes,
+    policy evaluations and one solve with its tables."""
+    policies = [(name, policy) for name in BLOCK_POLICY_MODELS
+                for policy in (perturbed_policy(dp.solve(pin_model(name)).policy.thresholds),
+                               edge_policy(pin_model(name), "below-then-top"))]
+    tables = dp.solve(ObservationModel.triangular(300), keep_tables=True)
+    return {
+        "cold": [pass_bits(model, whole=False) for model in BLOCK_SOLVES],  # v0 too
+        "extended": [extended_bits(model.n) for model in BLOCK_SOLVES
+                     if model.kind == "triangular" and model.n > 1],
+        "policies": [policy_pin_record(pin_model(name), policy) for name, policy in policies],
+        "tables": (bits(tables), [t.tobytes() for t in tables.tables.as_arrays()]),
+    }
+
+
+@pytest.mark.parametrize("cells", [1, 777])
+def test_block_size_moves_no_bit(monkeypatch, cells):
+    # One step a block, and blocks of an odd small size against the default.
+    want = block_outputs()
+    monkeypatch.setattr(dp, "_BLOCK_CELLS", cells)
+    assert block_outputs() == want

@@ -346,6 +346,48 @@ class TestScalingCheck:
         with pytest.raises(DomainError, match="replications must be >= 1"):
             mc.scaling_check(ObservationModel.trend_shifted(100), replications=0)
 
+    @staticmethod
+    def sorted_sample_sups(model, reps, seed):
+        """sup_limit and sup_exact from the whole clipped and sorted sample of
+        minima, the same draws scaling_check makes."""
+        scale, limit_cdf = mc._scaling_spec(model)
+        cap = mc._X_HI * scale
+        j_cut = min(model.n, math.ceil(cap) + 1)
+        samples = np.sort(np.minimum(np.concatenate(mc._map_blocks(
+            lambda chunks: np.concatenate([x.min(axis=1) for x in chunks]),
+            model, seed, reps, j_cut)), cap))
+        ranks = np.arange(1, reps + 1) / reps
+        cdf = limit_cdf(samples / scale)
+        sup_limit = float(np.max(np.maximum(ranks - cdf, cdf - (ranks - 1.0 / reps))))
+        grid = np.arange(1.0, math.floor(cap) + 1.0)
+        ecdf = np.searchsorted(samples, grid, side="right") / reps
+        exact = 1.0 - mc._min_survival(model, grid, j_cut)
+        return sup_limit, float(np.max(np.abs(ecdf - exact)))
+
+    @pytest.mark.parametrize("x_hi", [8.0, 1.5, 1.0])
+    @pytest.mark.parametrize("model", [ObservationModel.triangular(100),
+                                       ObservationModel.triangular(50),
+                                       ObservationModel.trend_shifted(300)], ids=str)
+    def test_grid_counts_give_the_sorted_sample_bits(self, monkeypatch, model, x_hi):
+        # The integer kinds count their minima on the grid.  Where x_hi
+        # clips many minima, cap = x_hi sqrt(n) is on the grid at n = 100
+        # (the clipped minima join the run at cap) and off it at n = 50.
+        monkeypatch.setattr(mc, "_X_HI", x_hi)
+        rep = mc.scaling_check(model, replications=20_000, seed=3)
+        assert (rep.sup_limit, rep.sup_exact) == self.sorted_sample_sups(model, 20_000, 3)
+        assert ("samples above" in rep.note) == (x_hi < 8.0)
+
+    def test_integer_kinds_hold_no_sample(self):
+        # holding and sorting 10^6 minima peaks near 64 MB; the counts on a
+        # grid of 80 values take under 1 kB
+        tracemalloc.start()
+        try:
+            mc.scaling_check(ObservationModel.triangular(100), replications=10**6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
     @pytest.mark.parametrize("model, reps", [
         (ObservationModel.triangular(100), mc.MAX_SCALING_REPLICATIONS + 1),
         # j_cut = 8001: 1.6e10 draws
