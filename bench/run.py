@@ -5,11 +5,12 @@ Carlo harness, and cold-start timings of the CLI.
     python bench/run.py --label parent --src ../parent/src --out BENCH.json
 
 Imports stoprule from --src (default: this checkout's src/) and times every
-row of ROWS: five DP passes, triangular(9000) then triangular(5000), the 90
-triangular solves of the acceptance c05 grid, the four 500k-replication
-simulations of the perfbench mc_simulate workload, and the bare `import
-stoprule.cli` and twelve CLI commands, each in a fresh interpreter with --src
-on PYTHONPATH, timed as the wall time of the whole process.  The cold
+row of ROWS: five DP passes, triangular(2000) with its value tables,
+triangular(9000) then triangular(5000), the 90 triangular solves of the
+acceptance c05 grid, the four 500k-replication simulations of the perfbench
+mc_simulate workload, and the bare `import stoprule.cli` and twelve CLI
+commands, each in a fresh interpreter with --src on PYTHONPATH, timed as the
+wall time of the whole process.  The cold
 `--policy FILE` row reads the perturbed policy of triangular(5000) that the
 in-process policy_value row evaluates, written to a temporary file.  Every
 timed triangular solve starts from empty triangular records (`dp._TRIANGULAR`,
@@ -27,7 +28,8 @@ return the first output.  One column, named --label, is merged into the --out
 JSON, keeping the columns already there, so two checkouts can be measured into
 one file.  A cell holds the median and interquartile range of the wall times
 in seconds; a solve or policy_value cell also the sha256 of its thresholds and
-the hex of its jump and drift, a simulation cell its SimResult and peak traced
+the hex of its jump and drift (and of both tables' bytes for a solve with
+tables), a simulation cell its SimResult and peak traced
 allocation in MB, a cold cell the scipy subpackages loaded and the sha256 of
 its stdout.  Equal digests in two columns mean bit-identical outputs.
 """
@@ -61,6 +63,7 @@ ROWS = (  # (row name, kind, arguments of the kind)
     ("solve triangular(9000)", "solve", ("triangular", 9000)),
     ("solve rectangular(2000, 2000)", "solve", ("rectangular", 2000, 2000)),
     ("solve triangular(20000)", "solve", ("triangular", 20000)),
+    ("solve triangular(2000) with tables", "tables", ("triangular", 2000)),
     ("solve triangular 9000 then 5000", "solve", ("triangular", 9000), ("triangular", 5000)),
     ("policy_value perturbed triangular(5000)", "policy_value", ("triangular", 5000)),
     ("solve triangular 100..9000:100 (c05 grid)", "solve",
@@ -124,13 +127,16 @@ def perturbed(thresholds) -> tuple:
     return tuple(out) + (math.inf,)
 
 
-def bits_sha256(results) -> dict:
+def bits_sha256(results, tables=()) -> dict:
     """The extra field of a solve or policy_value row: the sha256 over
     (thresholds, Decomposition) pairs of the thresholds and the hex of the
-    jump and drift."""
+    jump and drift, then over the bytes of each table in tables."""
     text = "\n".join(" ".join([*map(repr, thresholds), d.jump.hex(), d.drift.hex()])
                      for thresholds, d in results)
-    return {"bits_sha256": hashlib.sha256(text.encode()).hexdigest()}
+    digest = hashlib.sha256(text.encode())
+    for table in tables:
+        digest.update(table)
+    return {"bits_sha256": digest.hexdigest()}
 
 
 def rows(src: str, tmp: str):
@@ -159,6 +165,15 @@ def rows(src: str, tmp: str):
             with mock.patch.dict(os.environ, cap):
                 return [dp.solve(m) for m in models]
         return call, lambda sols: bits_sha256((s.policy.thresholds, s.decomposition) for s in sols)
+
+    def tables(spec):
+        m = model(spec)
+
+        def call():  # byte views of the tables, so two outputs compare by value
+            sol = dp.solve(m, keep_tables=True)
+            return (sol.policy.thresholds, sol.decomposition,
+                    [memoryview(t).cast("B") for t in sol.tables.as_arrays()])
+        return call, lambda out: bits_sha256([out[:2]], out[2])
 
     def policy_value(spec):
         m, policy = model(spec), perturbed_policy(model(spec))
@@ -200,7 +215,8 @@ def rows(src: str, tmp: str):
                     "stdout_sha256": hashlib.sha256(output[0]).hexdigest()}
         return call, extra
 
-    kinds = {"solve": solve, "policy_value": policy_value, "simulate": simulate, "cold": cold}
+    kinds = {"solve": solve, "tables": tables, "policy_value": policy_value, "simulate": simulate,
+             "cold": cold}
     for name, kind, *arguments in ROWS:
         yield (name, *kinds[kind](*arguments))
 

@@ -131,13 +131,27 @@ _MAX_GRID_STEPS = 4 * 10**7
 
 def _parse_horizons(text: str) -> list[int]:
     ns = [int(round(v)) for v in _parse_grid(text)]
-    steps = sum(ns)
-    if steps > _MAX_GRID_STEPS:
-        raise StopRuleError(
-            f"grid {text!r} needs {steps:.3g} steps (sum of n), above the cap of "
-            f"{_MAX_GRID_STEPS:.0e}"
-        )
-    return ns
+    return _within_cap(text, ns, sum(ns), _MAX_GRID_STEPS, "steps (sum of n)")
+
+
+# Most work in a grid of intensities: the sum of rect_limit's automatic k_max.
+# In-process, on one 2-core Xeon, rect_limit takes 1.8 to 2.9 us a level (the
+# most at lambda near 0.007) and 0.2 ms a point: the dearest grids take 10 min.
+_MAX_GRID_LEVELS = 2 * 10**8
+
+
+def _parse_lambdas(text: str) -> list[float]:
+    lams, levels = _parse_grid(text), 0
+    for lam in lams:  # rect_limit's checks in its order, so a bad lam fails as there
+        poisson._check_lam(lam)
+        levels += poisson._auto_k_max(lam)
+    return _within_cap(text, lams, levels, _MAX_GRID_LEVELS, "levels (sum of k_max)")
+
+
+def _within_cap(text: str, points: list, work: int, cap: int, unit: str) -> list:
+    if work > cap:
+        raise StopRuleError(f"grid {text!r} needs {work:.3g} {unit}, above the cap of {cap:.0e}")
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +282,7 @@ _SWEEP_GRIDS = {"lambda": "0.01:1:0.01", "triangular": "100:9000:100",
 def _cmd_sweep(args) -> int:
     grid = _SWEEP_GRIDS[args.target] if args.grid is None else args.grid
     if args.target == "lambda":
-        rows = [(lam, poisson.rect_limit(lam).total) for lam in _parse_grid(grid)]
+        rows = [(lam, poisson.rect_limit(lam).total) for lam in _parse_lambdas(grid)]
         header = ("lambda", "value")
     else:
         rows = []
@@ -300,16 +314,11 @@ def _cmd_check(args) -> int:
     add("rect_levels_limit", abs(d - 0.761260) < 1e-5, d)
     z2 = poisson.rect_roots(2).root(2)
     add("ladder_z2", abs(z2 - math.sqrt(3.0)) < 1e-9, z2)
-    for n in (2, 3, 4, 5):
-        model = ObservationModel.rectangular(n, n)
+    for name, model in [*((f"rect_{n}", ObservationModel.rectangular(n, n)) for n in (2, 3, 4, 5)),
+                        *((f"tri_{n}", ObservationModel.triangular(n)) for n in (2, 4, 6))]:
         got = dp.solve(model).decomposition.total
         want = dp.brute_force_oracle(model)
-        add(f"oracle_rect_{n}", abs(got - want) < 1e-12, got - want)
-    for n in (2, 4, 6):
-        model = ObservationModel.triangular(n)
-        got = dp.solve(model).decomposition.total
-        want = dp.brute_force_oracle(model)
-        add(f"oracle_tri_{n}", abs(got - want) < 1e-12, got - want)
+        add(f"oracle_{name}", abs(got - want) < 1e-12, got - want)
     for n in (5, 40):
         report = mc.bounds_check(n, n, reps=20_000, seed=7)
         add(f"sandwich_{n}", report.exact_in_bounds and report.simulated_in_bounds,

@@ -11,14 +11,12 @@ The jump mass at step j is P(M_{j-1} > b_j) * sum_{x <= b_j} P(X_j = x) s(j,x)
 and the drift mass collects P(M_m = y) v(m, y) over the window b_m < y <=
 b_{m+1}; their total is checked against the independent backward-induction
 value v0.  Stop columns and P(M_m >= y) are exp of a log-space closed form
-(log-gamma differences for the triangular kind, from one shared log Gamma
-table at the integers that equals scipy's gammaln bit for bit), so no
-intermediate product under/overflows even at n ~ 10^4.  The logs that do not
-depend on the step are computed once per lattice.  The thresholds are
-nondecreasing (a pass that finds otherwise raises PrecisionError), so the
-drift windows tile (b_1, b_n] in step order and the step of each y follows
-from them: the sweep records only v(m, y), and one P(M_m >= y) call and one
-fsum give the drift mass.
+(triangular: log-gamma differences from one shared table of log Gamma at the
+integers, scipy's gammaln bit for bit), so nothing under/overflows at
+n ~ 10^4; its step-free logs are computed once per lattice.  The thresholds
+are nondecreasing (else PrecisionError), so the drift windows tile
+(b_1, b_n] in step order: the sweep records only v(m, y), and the step of
+each y follows from the thresholds.
 
 Each step touches only the cells its outputs read.  A policy pass fills the
 columns of step j only on [lo_j, b_{j+1}]: the jump sum reads s(j, .) up to
@@ -50,27 +48,29 @@ and its cells past U_j read +0.0; one bisection over all steps before the
 pass gives every cut_j and R_j (`_windows`).  triangular(9000) fills 3.4M of
 its 41M cells.  Passes with value tables fill whole columns.
 
-The work is split in two halves.  The backward half (`_Sweep.advance`) keeps
-per-step records by steps left r = n - j: threshold, jump sum and
-drift-window values, the backward sum at its frontier, plus the frontier's
-two columns, so it can go on from where it stopped.  It goes through blocks
-of steps: one exp over a block's box fills its stop rows and a few calls
-over the box give its thresholds and drift windows, so only the recursion
-and the jump sums cost numpy calls at every step.  The forward half
-(`_Sweep.horizon`) forms the factors P(M_{j-1} >= .), the jump and drift
-fsums and the consistency gate for one horizon in O(n).  For the triangular
-kind the records do not depend on n: in y = n - x, X_j is uniform on
-{0..r}, and the stop column, its cut and the threshold at r are the same for
-every horizon (the closed form reads only r - y - 1, y + 1, y + 2 and
-r + 1, and the floor reads size_{j+1} = r).  The reach does depend on n: the
-same r is a later step of a larger horizon, with a smaller reach.  So
-records swept for horizon n serve every larger horizon, and `solve` keeps
-one set of triangular records and extends it when a larger n is asked for;
-a smaller n than its records were swept for gets a pass of its own, whose v0
-would otherwise read cells cut for the larger one.  An ascending sequence of
-triangular solves costs one sweep to the largest n plus O(n) per call.
-Rectangular solves, policy evaluations and solves with tables run both
-halves once.
+The backward half (`_Sweep.advance`) keeps per-step records by steps left
+r = n - j (threshold, jump sum, drift-window values, and the frontier's
+backward sum and two columns), so it can go on from where it stopped.  It
+goes through blocks of steps: one exp over a block's box fills its stop rows
+and a few calls over the box give its thresholds and drift windows, so only
+the recursion and the jump sums cost numpy calls at every step.  The forward
+half (`_Sweep.horizon`) forms P(M_{j-1} >= .), the jump and drift fsums and
+the consistency gate of one horizon in O(n).  Triangular records do not
+depend on n: in y = n - x, X_j is uniform on {0..r}, and the stop column,
+its cut and the threshold at r read only r and y (the floor reads
+size_{j+1} = r).  The reach does depend on n, so `solve` keeps one set of
+triangular records and extends it to a larger n; a smaller n gets a pass of
+its own, whose v0 would read cells cut for the larger one.  An extension
+reads the old records only through the frontier, step 1 of their horizon,
+whose columns are whole (P(M_1 >= x) >= 1 / size_1 > _REACH_EPS) and whose
+value at x reads old cells only up to x.  Every old record was filled at
+least up to the frontier's cut, and no new step's cut passes it: past the
+cut at r, y <= r - 2 (s = 1 at y = r - 1 and r), so one more step left
+multiplies s there by (y + 1) / (r + 1) <= (r - 1) / (r + 1) while the floor
+falls by log((r + 1) / r) only.  So an extension keeps every bit of a pass
+of its own, and ascending triangular solves cost one sweep to the largest n
+plus O(n) each.  Rectangular solves, policy evaluations and solves with
+tables run both halves once.
 
 For arbitrary monotone policies the same sums apply with v replaced by the
 "stop at every future record below y" chain, which is what any monotone
@@ -114,7 +114,10 @@ ENUMERATION_CAP = 1_000_000
 # Recursion depth cap of the oracle: one-atom steps leave the tuple count at 1
 # (with two atoms a step, ENUMERATION_CAP already stops it near n = 21).
 ORACLE_MAX_STEPS = 64
-TABLE_CELL_CAP = 80_000_000
+# Most cells (n + 1) * (x_max + 1) of a value table: both float64 tables take
+# 256 MiB at the cap, and `value --tables` writes them as CSV in about 40 s
+# (2.3 us a cell on one 2-core Xeon).
+TABLE_CELL_CAP = 1 << 24
 # Widest value lattice (x_max) a backward pass builds: a pass holds about 150
 # bytes per lattice value, so about 150 MB at the cap.
 LATTICE_WIDTH_CAP = 1_000_000
@@ -272,14 +275,13 @@ _BLOCK_CELLS = 1 << 15
 def _stop_rows(lat, j, x, cut, out):
     """s(j, x) into out, for columns j and cut (one entry a step) and a row x
     of lattice values: exp of the log `_windows` bisects, clamped at 1, where
-    x < cut (the mask returned), and +0.0 from cut on, where the log is zeroed
-    first (exp is slow on underflow).  Cells below lo_j hold junk."""
+    x < cut (the mask returned).  Cells from cut on go through no exp (it is
+    slow on underflow) and keep the +0.0 that `advance` fills its box with
+    first: the clamp leaves any value <= 1, or NaN, as it was.  Cells below
+    lo_j hold junk."""
     inside = x < cut
-    s = lat.log_stop(j, x)
-    np.multiply(s, inside, out=s)
-    np.exp(s, out=s)
-    np.minimum(s, 1.0, out=s)  # float overshoot of the lgamma differences
-    np.multiply(s, inside, out=out)
+    np.exp(lat.log_stop(j, x), out=out, where=inside)
+    np.minimum(out, 1.0, out=out)  # float overshoot of the lgamma differences
     return inside
 
 
@@ -312,11 +314,9 @@ class _Sweep:
     ssum = sum_{lo <= x <= b_j} s(j, x).  Per horizon n the sweep went to:
     the backward sum sum_x max(s(1, x), v(1, x)) (vsum[n]); step r was swept
     for the least such n above r.  Per lattice value x: v(j, x) of the step
-    whose drift window (b_j, b_{j+1}] covers it.  The windows tile
-    (b_1, b_n] in step order, so that step follows from the thresholds.  The
-    stop and continuation columns of the frontier step let `advance` go on
-    later; every step is filled at y = x_max - x >= filled_from.  Arrays over
-    lattice values are aligned to the right, so x of a horizon with top
+    whose drift window (b_j, b_{j+1}] covers it.  The frontier step's
+    columns, whole after an optimal pass, let `advance` go on later.  Arrays
+    over lattice values are aligned to the right, so x of a horizon with top
     x_max sits at index x + len - 1 - x_max.
     """
 
@@ -327,7 +327,6 @@ class _Sweep:
     def clear(self) -> None:
         with self.lock:
             self.steps = 0
-            self.filled_from = 0
             self.y_b = np.zeros(0, dtype=np.int64)
             self.ssum = np.zeros(0)
             self.vsum = {}  # horizon swept to: backward sum of its first step
@@ -336,15 +335,10 @@ class _Sweep:
             self.cont = np.zeros(0)
 
     def _grow(self, width: int, steps: int) -> None:
-        for name in ("y_b", "ssum"):
-            old = getattr(self, name)
-            new = np.zeros(steps, dtype=old.dtype)
-            new[: len(old)] = old
-            setattr(self, name, new)
-        for name in ("drift_cont", "stop", "cont"):
-            old = getattr(self, name)
-            new = np.zeros(width, dtype=old.dtype)
-            new[width - len(old) :] = old
+        for name in ("y_b", "ssum", "drift_cont", "stop", "cont"):
+            old, by_step = getattr(self, name), name in ("y_b", "ssum")
+            new = np.zeros(steps if by_step else width, dtype=old.dtype)
+            new[slice(len(old)) if by_step else slice(width - len(old), None)] = old
             setattr(self, name, new)
 
     def advance(self, lat, model: ObservationModel, thresholds=None, tables=None) -> None:
@@ -355,14 +349,13 @@ class _Sweep:
         steps already recorded must be the last steps of model too, swept
         for no larger horizon, and the columns no wider than its lattice.
 
-        Step j fills its columns on [lo_j, end_j); they read +0.0 elsewhere.
-        A pass with tables fills whole columns.  A policy pass stops at
-        min(hi, max(lo_j, b_{j+1})) (b_n at the last step): its jump sum,
-        its drift window and the step before read no further, so its
-        frontier columns cannot be extended.  The optimal pass without
-        tables takes its stop-column cuts and fill ends from `_windows` (see
-        the module docstring); if its new steps would widen the window an
-        earlier record was filled on, it sweeps anew from r = 0.
+        Step j fills its columns on [lo_j, end_j) and they read +0.0
+        elsewhere: whole columns with tables; up to min(hi, max(lo_j,
+        b_{j+1})) (b_n at the last step) in a policy pass, whose jump sum,
+        drift window and step before read no further, so its frontier cannot
+        be extended; from `_windows` in the optimal pass without tables,
+        whose extensions read the old records only at the frontier (see the
+        module docstring).
 
         Consecutive steps go in blocks whose box, the steps by [min lo_j,
         max end_j), has at most _BLOCK_CELLS cells or one step.  One exp
@@ -373,9 +366,6 @@ class _Sweep:
         start, width, optimal = self.steps, x_max + 1, thresholds is None
         if optimal and tables is None:
             cut, end = _windows(lat, model, start)
-            if start and width - int(cut.max()) < self.filled_from:
-                self.clear()
-                return self.advance(lat, model)
         self._grow(width, n)
         j = n - np.arange(start, n)
         lo = model._interval(j)[0] + 0 * j
@@ -388,7 +378,6 @@ class _Sweep:
             cut = end = np.minimum(x_max, np.maximum(lo, b[np.r_[0, : n - 1]])) + 1
         elif tables is not None:
             cut = end = np.full(n - start, width)
-        self.filled_from = max(self.filled_from, width - int(end.min()))
         # The frontier step's columns, filled on `front`; the boxes of a
         # block: stop rows, continuation rows and P(X_{j+1} > x).
         s_front, c_front, front, i0 = self.stop, self.cont, slice(0, width), 0

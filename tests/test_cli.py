@@ -433,6 +433,16 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not tables.exists()
 
+    def test_tables_over_cell_cap_exits_1(self, capsys, tmp_path):
+        # 79 steps by 10^6 + 1 lattice values: two tables of about 632 MB each
+        tables = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "value", "--model", "rectangular", "--n", "78",
+                                 "--k", "1000000", "--tables", str(tables))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "cells" in err and err.count("\n") == 1
+        assert not tables.exists()
+
     def test_failed_consistency_gate_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.dp, "_CONSISTENCY_TOL", -1.0)
         code, out, err = run_cli(capsys, "value", "--model", "triangular", "--n", "5")
@@ -519,6 +529,39 @@ class TestErrors:
         assert len(cli._parse_grid(over)) == len(cli._parse_grid(grid)) + 1
         with pytest.raises(cli.StopRuleError, match="steps"):
             cli._parse_horizons(over)
+
+    def test_lambda_grid_over_level_cap_exits_1(self, capsys, monkeypatch):
+        # 0.5, 0.75 and 1 need 51 + 34 + 25 automatic levels; one over the
+        # cap is refused before any limit is computed
+        levels = sum(map(cli.poisson._auto_k_max, (0.5, 0.75, 1.0)))
+        assert levels == 110
+
+        def unreachable(*_):
+            raise AssertionError("a grid over the cap reached rect_limit")
+
+        monkeypatch.setattr(cli.poisson, "rect_limit", unreachable)
+        monkeypatch.setattr(cli, "_MAX_GRID_LEVELS", levels - 1)
+        code, out, err = run_cli(capsys, "sweep", "--target", "lambda", "--grid", "0.5:1:0.25")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "levels" in err and err.count("\n") == 1
+        monkeypatch.setattr(cli, "_MAX_GRID_LEVELS", levels)
+        assert cli._parse_lambdas("0.5:1:0.25") == [0.5, 0.75, 1.0]
+
+    def test_level_cap_admits_the_default_grid(self):
+        # 13,861 levels; 10^5 points of lambda = 10^-4 need 3.3e10
+        assert sum(map(cli.poisson._auto_k_max, cli._parse_lambdas("0.01:1:0.01"))) == 13861
+        with pytest.raises(cli.StopRuleError, match="levels"):
+            cli._parse_lambdas("1e-4:1.00099999e-4:1e-12")
+
+    @pytest.mark.parametrize("grid, error", [
+        ("-1:1:1", models.DomainError), ("5e-324:1:1", models.ResourceLimitError),
+        ("1:800:799", models.DomainError),
+    ], ids=["negative", "no-truncation", "exp-overflow"])
+    def test_lambda_grid_fails_as_rect_limit_would(self, grid, error):
+        # the level count reads only intensities that rect_limit accepts
+        with pytest.raises(error):
+            cli._parse_lambdas(grid)
 
     @pytest.mark.parametrize("args", [
         ("fullinfo", "--n", "41"),

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,25 @@ class TestSolve:
                 dp.solve(model)
             with pytest.raises(ResourceLimitError, match="lattice width 13"):
                 dp.policy_value(model, ThresholdPolicy((math.inf,) * model.n))
+
+    def test_table_cell_cap(self, monkeypatch):
+        # (n + 1) * (x_max + 1) cells a table: one over 2^24 is refused before
+        # either table (128 MiB each) is allocated
+        assert dp.TABLE_CELL_CAP == 97 * 172961 - 1 == 1 << 24
+        model = ObservationModel.rectangular(96, 172960)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="16777217 cells"):
+                dp.solve(model, keep_tables=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 23
+        # a lowered cap admits tables of exactly its size
+        monkeypatch.setattr(dp, "TABLE_CELL_CAP", 4 * 6)
+        assert dp.solve(ObservationModel.rectangular(3, 5), keep_tables=True).tables is not None
+        with pytest.raises(ResourceLimitError, match="25 cells"):
+            dp.solve(ObservationModel.triangular(4), keep_tables=True)
 
     def test_consistency_gate_raises_precision_error(self, monkeypatch):
         # No jump+drift total can be within a negative tolerance of v0.
@@ -669,6 +689,24 @@ def test_log_gamma_table_is_shared_and_grown_in_place(monkeypatch):
     assert np.array_equal(dp._log_gamma_ints(63).view(np.int64), want.view(np.int64))
 
 
+def test_masked_exp_keeps_the_bits_of_exp():
+    # `_stop_rows` sends the logs of a block through one exp into a strided
+    # view of its box, masked at the cuts; on every row and every mask that
+    # must give the bits of a plain exp, and leave the masked cells alone.
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        rows, cols, pad = (int(v) for v in rng.integers(1, 80, 3))
+        log = rng.uniform(-800.0, 1e-12, (rows, cols))
+        log[rng.random((rows, cols)) < 0.5] *= 1e-3  # logs near 0 too
+        cut = rng.integers(0, cols + 1, (rows, 1))
+        mask = np.arange(cols) < cut if rng.random() < 0.5 else rng.random((rows, cols)) < 0.7
+        box = np.full((rows, cols + pad), np.nan)
+        np.exp(log, out=box[:, :cols], where=mask)
+        want = np.where(mask, np.exp(log), np.nan)
+        assert np.array_equal(box[:, :cols].view(np.int64), want.view(np.int64))
+        assert np.all(np.isnan(box[:, cols:]))
+
+
 @pytest.mark.parametrize("model", [
     ObservationModel.triangular(1),
     ObservationModel.triangular(2),
@@ -689,16 +727,18 @@ def test_stop_col_matches_closed_form_bit_for_bit(model):
     # The stop rows of all n steps as one box at x = 1..x_max, with each
     # step's whole column (a pass with tables), a column cut short (a policy
     # pass) and the optimal pass's cut: the closed form's bits on [lo, cut)
-    # (+0.0 where exp underflows), +0.0 from cut on, and no entry written
-    # outside the box.  Below lo no output reads a row.
+    # (+0.0 where exp underflows), and every cell from cut on and outside the
+    # box left as it was (the pass fills its box with +0.0 first).  Below lo
+    # no output reads a row.
+    nan = np.float64(np.nan).view(np.int64)
     for cut in (np.full_like(j, x_max + 1), lo + (x_max + 2 - lo) // 2, cuts[n - j]):
         out = np.full((n, x_max + 2), np.nan)
         inside = dp._stop_rows(lat, j, x, cut, out[:, 1:-1])
         assert np.array_equal(inside, x < cut)
-        assert np.all(np.isnan(out[:, [0, -1]]))
+        assert np.all(out[:, [0, -1]].view(np.int64) == nan)
         for (jj, want, _), row, c, l in zip(refs, out[:, :-1], cut[:, 0], lo[:, 0]):
             assert np.array_equal(row[l:c].view(np.int64), want[l:c].view(np.int64)), jj
-            assert np.all(row[c:].view(np.int64) == 0), jj
+            assert np.all(row[c:].view(np.int64) == nan), jj
     floor_seen = False
     for j, want, arg in refs:
         lo = model.support(j)[0]
@@ -834,15 +874,6 @@ class TestSharedTriangularRecords:
         assert passes == [(True, 500), (False, 200), (True, 800), (False, 600)]
         assert sorted(records.vsum) == [500, 800]  # the horizons the records serve
 
-    def test_an_extension_that_would_widen_an_old_window_sweeps_anew(self):
-        cold = bits(cold_solve(900))
-        dp._TRIANGULAR.clear()
-        dp.solve(ObservationModel.triangular(300))
-        records = dp._TRIANGULAR
-        records.filled_from = 300  # as if every record had been filled only at y >= 300
-        assert bits(dp.solve(ObservationModel.triangular(900))) == cold
-        assert records.steps == 900 and list(records.vsum) == [900]
-
     def test_cap_refusal_does_not_depend_on_earlier_calls(self, monkeypatch):
         dp.solve(ObservationModel.triangular(60))
         steps = dp._TRIANGULAR.steps
@@ -939,6 +970,35 @@ def test_a_window_narrowed_below_the_cuts_moves_bits(monkeypatch):
         except PrecisionError as exc:
             got = exc
         assert got != pass_bits(model, whole=True)[0], model
+
+
+FRONTIER_SHAPES = ((2, 9), (10, 3), (30, 1), (50, 50), (300, 40), (40, 300), (1000, 1000),
+                   (2000, 500), (2000, 2000))
+
+
+def test_the_frontier_of_an_optimal_pass_is_whole():
+    # Step 1 reaches every lattice value, P(M_1 >= x) >= 1 / size_1 >
+    # _REACH_EPS, so the frontier that an extension goes on from is filled on
+    # the whole support.
+    for model in (*(ObservationModel.triangular(n) for n in (*range(1, 2001), 5050, 9050)),
+                  *(ObservationModel.rectangular(n, k) for n, k in FRONTIER_SHAPES)):
+        x_max = model.support(model.n)[1]
+        assert dp._windows(dp._lattice_for(model), model, 0)[1][-1] == x_max + 1, model
+
+
+def test_no_extension_cuts_past_an_old_window():
+    # Counted from the top, y = n + 1 - cut, the cuts of the triangular
+    # records never fall as the steps left r grow, and every record of a
+    # horizon m was filled at least up to the cut of its frontier, r = m - 1.
+    # So the frontier's cells up to any cut of the steps that an extension
+    # adds were computed from filled cells only, as in a pass of its own.
+    top = ObservationModel.triangular(20000)
+    y_cut = top.n + 1 - dp._windows(dp._lattice_for(top), top, 0)[0]
+    assert np.all(np.diff(y_cut) >= 0)
+    for m in (*range(1, 80), 361, 362, 777, 1500, 4999, 5050, 9050):
+        model = ObservationModel.triangular(m)
+        end = dp._windows(dp._lattice_for(model), model, 0)[1]
+        assert (m + 1 - end).max() <= y_cut[m - 1] <= y_cut[m:].min(), m
 
 
 def test_extended_floored_records_keep_every_bit():
