@@ -8,11 +8,12 @@ Imports stoprule from --src (default: this checkout's src/) and times every
 row of ROWS: five DP passes, triangular(2000) with its value tables,
 triangular(9000) then triangular(5000), the 90 triangular solves of the
 acceptance c05 grid, the four 500k-replication simulations of the perfbench
-mc_simulate workload, and the bare `import stoprule.cli` and twelve CLI
+mc_simulate workload, and the bare `import stoprule.cli` and thirteen CLI
 commands, each in a fresh interpreter with --src on PYTHONPATH, timed as the
 wall time of the whole process.  The cold
 `--policy FILE` row reads the perturbed policy of triangular(5000) that the
-in-process policy_value row evaluates, written to a temporary file.  Every
+in-process policy_value row evaluates, written to a temporary file, and the
+`--tables OUT` row writes its CSV to a temporary file.  Every
 timed triangular solve starts from empty triangular records (`dp._TRIANGULAR`,
 where the source has them), so a single solve times one whole backward pass
 and the grid row one pass to its largest n.  The descending pair times what a
@@ -31,7 +32,8 @@ in seconds; a solve or policy_value cell also the sha256 of its thresholds and
 the hex of its jump and drift (and of both tables' bytes for a solve with
 tables), a simulation cell its SimResult and peak traced
 allocation in MB, a cold cell the scipy subpackages loaded and the sha256 of
-its stdout.  Equal digests in two columns mean bit-identical outputs.
+its stdout (and of the CSV it wrote, for `--tables OUT`).  Equal digests in
+two columns mean bit-identical outputs.
 """
 
 import argparse
@@ -57,7 +59,7 @@ COLD = ("", "sweep --target rectangular --grid 1000:2000:500",
         "simulate --model triangular --n 50 --reps 500000 --seed 1",
         "simulate --model uniform01 --n 20 --reps 500000 --seed 1",
         "limit --lambda 0.003", "limit --geometry tri", "limit --theta 3", "fullinfo --n 2000",
-        "check")
+        "check", "value --model rectangular --n 999 --k 999 --tables OUT")
 ROWS = (  # (row name, kind, arguments of the kind)
     ("solve triangular(5000)", "solve", ("triangular", 5000)),
     ("solve triangular(9000)", "solve", ("triangular", 9000)),
@@ -203,16 +205,23 @@ def rows(src: str, tmp: str):
             with open(path, "w") as fh:
                 json.dump(perturbed_policy(model(("triangular", 5000))).to_json(), fh)
             argv[argv.index("FILE")] = path
+        out = os.path.join(tmp, "tables.csv") if "OUT" in argv else None
+        if out:
+            argv[argv.index("OUT")] = out
 
         def call():
             proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
                                   env={**os.environ, "PYTHONPATH": src},
                                   capture_output=True, check=True)
-            return proc.stdout, proc.stderr.decode().splitlines()[-1].split()
+            written = {}
+            if out:
+                with open(out, "rb") as fh:
+                    written["csv_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+            return proc.stdout, proc.stderr.decode().splitlines()[-1].split(), written
 
         def extra(output):
             return {"scipy": ["scipy." + p for p in output[1]],
-                    "stdout_sha256": hashlib.sha256(output[0]).hexdigest()}
+                    "stdout_sha256": hashlib.sha256(output[0]).hexdigest(), **output[2]}
         return call, extra
 
     kinds = {"solve": solve, "tables": tables, "policy_value": policy_value, "simulate": simulate,

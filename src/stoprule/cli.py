@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import dp, fullinfo, mc, models, poisson
 from .models import ObservationModel, StopRuleError, ThresholdPolicy
 
@@ -20,11 +22,7 @@ __all__ = ["main"]
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)  # inf reads inf, -inf -inf
 
 
 def _round12(obj):
@@ -49,13 +47,13 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
         )
     else:
         lines = [json.dumps(_round12(payload)) + "\n"]
-    _write(args, lines)
+    _write(getattr(args, "output", None), lines)
 
 
-def _write(args, chunks):
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
+def _write(path, chunks):
+    """Write chunks, as they are produced, to the file at path or to stdout."""
+    if path:
+        with open(path, "w") as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -180,11 +178,14 @@ def _cmd_value(args) -> int:
     if args.tables:
         if sol.tables is None:
             raise StopRuleError(f"{model.kind} has no value tables")
-        stop_tab, cont_tab = sol.tables.as_arrays()
-        with open(args.tables, "w") as fh:
-            fh.write("j,x,s,v\n")
-            for j, x in sol.tables.states():
-                fh.write(f"{j},{x},{_fmt(float(stop_tab[j, x]))},{_fmt(float(cont_tab[j, x]))}\n")
+        stop, cont = sol.tables.as_arrays()
+
+        def rows():  # one step's row at a time: its lattice cells in x order
+            for j in range(1, model.n + 1):
+                xs = np.flatnonzero(~np.isnan(stop[j]))
+                yield "".join(f"{j},{x},{s:.12g},{v:.12g}\n" for x, s, v in
+                              zip(xs.tolist(), stop[j, xs].tolist(), cont[j, xs].tolist()))
+        _write(args.tables, itertools.chain(["j,x,s,v\n"], rows()))
     _emit(args, sol.to_json())
     return 0
 
@@ -253,7 +254,7 @@ def _cmd_roots(args) -> int:
             yield (", " if lo else "") + json.dumps(_round12(rows))[1:-1]
 
     head = json.dumps(_round12({"lambda": args.lam, "roots": []}))[:-2]
-    _write(args, itertools.chain([head], blocks(), ["]}\n"]))
+    _write(args.output, itertools.chain([head], blocks(), ["]}\n"]))
     return 0
 
 

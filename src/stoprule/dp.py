@@ -36,17 +36,22 @@ The optimal pass without tables rests on two facts:
   window cells up to b_{j+1} <= cut_{j+1}, and v(j, x) reads the cells
   y <= x of step j + 1.  A window U_j >= max_{i <= j+1} cut_i therefore
   keeps every threshold, jump and drift bit, whatever the cells above it
-  hold.
+  hold.  That maximum is cut_{j+1}: the cuts fall as the steps left r grow.
+  Rectangular: log s = r log P(X >= x) falls with r under the fixed floor
+  log(1 / (2K)) - 1.  Triangular, in y = n - x: past the cut at r, y <= r - 2
+  (s = 1 at y = r - 1 and r), so one more step left multiplies s there by
+  (y + 1) / (r + 1) <= (r - 1) / (r + 1) while the floor falls by
+  log((r + 1) / r) only.
 - Only the consistency gate reads the rest.  v0, a sum over whole columns,
   feeds nothing printed.  Writing +0.0 at every cell (j, x) with
   P(M_j >= x) <= _REACH_EPS moves it by at most the chance that the chain
   visits such a cell, n * _REACH_EPS.
 
-So step j fills its columns on [lo_j, U_j] with U_j = max(R_j, max_{i <= j+1}
-cut_i), where the reach R_j is the largest x with P(M_j >= x) > _REACH_EPS,
-and its cells past U_j read +0.0; one bisection over all steps before the
-pass gives every cut_j and R_j (`_windows`).  triangular(9000) fills 3.4M of
-its 41M cells.  Passes with value tables fill whole columns.
+So step j fills its columns on [lo_j, U_j] with U_j = max(R_j, cut_{j+1}),
+where the reach R_j is the largest x with P(M_j >= x) > _REACH_EPS, and its
+cells past U_j read +0.0; one bisection over all steps before the pass gives
+every cut_j and R_j (`_windows`).  triangular(9000) fills 3.4M of its 41M
+cells.  Passes with value tables fill whole columns.
 
 The backward half (`_Sweep.advance`) keeps per-step records by steps left
 r = n - j (threshold, jump sum, drift-window values, and the frontier's
@@ -64,13 +69,11 @@ its own, whose v0 would read cells cut for the larger one.  An extension
 reads the old records only through the frontier, step 1 of their horizon,
 whose columns are whole (P(M_1 >= x) >= 1 / size_1 > _REACH_EPS) and whose
 value at x reads old cells only up to x.  Every old record was filled at
-least up to the frontier's cut, and no new step's cut passes it: past the
-cut at r, y <= r - 2 (s = 1 at y = r - 1 and r), so one more step left
-multiplies s there by (y + 1) / (r + 1) <= (r - 1) / (r + 1) while the floor
-falls by log((r + 1) / r) only.  So an extension keeps every bit of a pass
-of its own, and ascending triangular solves cost one sweep to the largest n
-plus O(n) each.  Rectangular solves, policy evaluations and solves with
-tables run both halves once.
+least up to the frontier's cut, and no new step's cut passes it, as the cuts
+fall in r.  So an extension keeps every bit of a pass of its own, and
+ascending triangular solves cost one sweep to the largest n plus O(n) each.
+Rectangular solves, policy evaluations and solves with tables run both
+halves once.
 
 For arbitrary monotone policies the same sums apply with v replaced by the
 "stop at every future record below y" chain, which is what any monotone
@@ -115,8 +118,8 @@ ENUMERATION_CAP = 1_000_000
 # (with two atoms a step, ENUMERATION_CAP already stops it near n = 21).
 ORACLE_MAX_STEPS = 64
 # Most cells (n + 1) * (x_max + 1) of a value table: both float64 tables take
-# 256 MiB at the cap, and `value --tables` writes them as CSV in about 40 s
-# (2.3 us a cell on one 2-core Xeon).
+# 256 MiB at the cap, and `value --tables` writes them as CSV in 25 to 45 s
+# (1.4 to 2.7 us a cell on one 2-core Xeon, quiet to busy).
 TABLE_CELL_CAP = 1 << 24
 # Widest value lattice (x_max) a backward pass builds: a pass holds about 150
 # bytes per lattice value, so about 150 MB at the cap.
@@ -292,14 +295,13 @@ def _windows(lat, model: ObservationModel, start: int):
     n, x_max = model.n, model.support(model.n)[1]
     r = np.arange(max(start - 1, 0), n)
     j = n - r
-    lo, top = model._interval(j)[0] + 0 * j, np.full(len(r), x_max + 1)
+    lo, top = model._interval(j)[0], np.full(len(r), x_max + 1)
     # the floor log(1 / (2 size_{j+1})) of the module docstring
     size = x_max + 1 - model._interval(np.minimum(j + 1, n))[0]
     key = np.where(r > 0, -np.log(2.0 * size) - 1.0, -np.inf)
     cut = _first_true(lambda x: lat.log_stop(j, x) < key, lo, top)
     reach = _first_true(lambda x: lat.prob_min_ge(j, x) <= _REACH_EPS, lo, top)
-    needed = np.maximum.accumulate(cut[::-1])[::-1]  # max over r' >= r
-    end = np.maximum(reach, np.r_[needed[:1], needed[:-1]])
+    end = np.maximum(reach, np.r_[cut[:1], cut[:-1]])  # cut_{j+1} is at r - 1
     return cut[min(start, 1) :], end[min(start, 1) :]
 
 
@@ -368,8 +370,8 @@ class _Sweep:
             cut, end = _windows(lat, model, start)
         self._grow(width, n)
         j = n - np.arange(start, n)
-        lo = model._interval(j)[0] + 0 * j
-        lo1 = model._interval(np.minimum(j + 1, n))[0] + 0 * j  # lo_{j+1}
+        lo = model._interval(j)[0]
+        lo1 = model._interval(np.minimum(j + 1, n))[0]  # lo_{j+1}
         if not optimal:
             # clamp to [0, x_max]: anything below the support stops nothing
             b = np.clip(np.floor(thresholds[::-1]), 0, x_max).astype(np.int64)
@@ -453,7 +455,7 @@ class _Sweep:
         the optimal rule.  lat is model's lattice."""
         n, x_max = model.n, model.support(model.n)[1]
         b = x_max - self.y_b[n - 1 :: -1]
-        size = x_max + 1 - np.broadcast_to(model._interval(np.arange(1, n + 1))[0], n)
+        size = x_max + 1 - model._interval(np.arange(1, n + 1))[0]
         # Jump mass at step j is P(M_{j-1} >= b_j + 1) * ssum_j / size_j.
         pm = lat.prob_min_ge(np.arange(n), b + 1)
         jump = math.fsum(pm * self.ssum[n - 1 :: -1] / size)

@@ -48,7 +48,7 @@ _BLOCK_TARGET = 4_000_000  # floats per block: one Philox stream, one task
 _CHUNK_TARGET = 1 << 16  # floats drawn and scanned at a time within a block
 MAX_DRAWS = 10 ** 10  # cap on replications * n of one simulation
 # A scaling_check of a continuous kind holds every minimum: a tracemalloc peak
-# of 32 MB + 24 B a replication, 248 MB at the cap (the integer kinds count).
+# of 32 MB + 48 B a replication, 464 MB at the cap (the integer kinds count).
 MAX_SCALING_REPLICATIONS = 9 * 10 ** 6
 _X_HI = 8.0  # end of the scaling-check comparison range, in units of the scale
 
@@ -247,34 +247,33 @@ def scaling_check(model: ObservationModel, replications: int = 100_000,
         return np.concatenate([x.min(axis=1) for x in chunks])
 
     def sup(cdf, upper, lower):
-        # sup |ECDF - cdf| over the sorted sample: the ECDF steps from
-        # lower - 1/N to upper at each point (ranks i/N)
+        # sup |ECDF - cdf| over the sorted distinct minima, at each of which
+        # the ECDF steps from lower - 1/N to upper
         return float(max(np.max(upper - cdf), np.max(cdf - (lower - 1.0 / replications))))
 
+    # The distinct minima vals (those above cap read cap) with their counts;
+    # a run of equal minima has ranks in (upto - count, upto].
     if grid_size:
-        # Integer-valued minima: counts on the grid 1..grid_size and above
-        # cap (those read cap).  A run of equal minima has ranks in (upto -
-        # count, upto]; the ECDF and the exact cdf share their jump points,
-        # so the sup distance to the exact law is attained on the grid.
+        # Integer minima, counted on 1..grid_size and above cap: the ECDF and
+        # the exact cdf share their jump points, so sup_exact is on the grid.
         counts = sum(_map_blocks(
             lambda chunks: np.bincount(np.minimum(minima(chunks), grid_size + 1).astype(np.int64),
                                        minlength=grid_size + 2),
             model, seed, replications, j_cut))[1:]
         clipped, grid = int(counts[-1]), np.arange(1.0, grid_size + 1.0)
         vals, counts = np.append(grid, cap)[counts > 0], counts[counts > 0]
-        upto = np.cumsum(counts)
-        sup_limit = sup(limit_cdf(vals / scale), upto / replications,
-                        (upto - counts + 1) / replications)
+    else:
+        vals = np.concatenate(_map_blocks(minima, model, seed, replications, j_cut))
+        clipped = int(np.count_nonzero(vals > cap))
+        vals, counts = np.unique(np.minimum(vals, cap, out=vals), return_counts=True)
+    upto = np.cumsum(counts)
+    upper, lower = upto / replications, (upto - counts + 1) / replications
+    sup_limit = sup(limit_cdf(vals / scale), upper, lower)
+    if grid_size:
         ecdf = np.r_[0, upto][np.searchsorted(vals, grid, side="right")] / replications
         sup_exact = float(np.max(np.abs(ecdf - (1.0 - _min_survival(model, grid, j_cut)))))
     else:
-        samples = np.concatenate(_map_blocks(minima, model, seed, replications, j_cut))
-        clipped = int(np.count_nonzero(samples > cap))
-        np.minimum(samples, cap, out=samples)
-        samples.sort()
-        ranks = np.arange(1, replications + 1) / replications
-        sup_limit = sup(limit_cdf(samples / scale), ranks, ranks)
-        sup_exact = sup(1.0 - _min_survival(model, samples, j_cut), ranks, ranks)
+        sup_exact = sup(1.0 - _min_survival(model, vals, j_cut), upper, lower)
 
     note = f"{clipped} samples above the comparison range" if clipped else ""
     return ScalingReport(model, replications, scale, sup_limit, sup_exact, False, note)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -132,10 +131,10 @@ class ObservationModel:
             raise DomainError(f"support size k must be a positive integer, got {self.k!r}")
         if self.kind == BERNOULLI_PYRAMID and not 0.0 < self.p < 1.0:
             raise DomainError(f"p must lie in (0, 1), got {self.p!r}")
-        if self.kind == TREND_SCALED and not self.rho > 0:
-            raise DomainError(f"rho must be positive, got {self.rho!r}")
-        if self.kind == TREND_POWER and not self.theta > 0:
-            raise DomainError(f"theta must be positive, got {self.theta!r}")
+        if self.kind == TREND_SCALED and not 0 < self.rho * self.n < math.inf:
+            raise DomainError(f"rho must be positive with rho * n finite, got {self.rho!r}")
+        if self.kind == TREND_POWER and not 0 < self.theta < math.inf:
+            raise DomainError(f"theta must be positive and finite, got {self.theta!r}")
 
     # Constructors ---------------------------------------------------------
 
@@ -182,11 +181,11 @@ class ObservationModel:
         return self._interval(j)
 
     def _interval(self, j):
-        """(lo, hi) of the integer support of X_j; j may be an array of steps."""
+        """(lo, hi) of the integer support of X_j; lo has the shape of j."""
         if self.kind == TRIANGULAR:
             return j, self.n
         if self.kind == RECTANGULAR:
-            return 1, self.k
+            return 0 * j + 1, 0 * j + self.k
         if self.kind == TREND_SHIFTED:
             return j, j + self.n - 1
         raise UnsupportedModelError(f"{self.kind} has no integer support")
@@ -222,7 +221,6 @@ class ObservationModel:
         if self.kind == TREND_POWER:
             return 1.0 - np.clip((v - j) / self.n, 0.0, 1.0) ** self.theta
         lo, hi = self._interval(j)
-        v = v + 0 * j  # broadcast against j, which the rectangular bounds ignore
         return np.clip((hi - np.floor(v)) / ((hi - lo) + 1), 0.0, 1.0)
 
     def atoms(self, j: int) -> list[tuple[float, float]]:
@@ -327,13 +325,6 @@ class ValueTables:
     def cont_value(self, j: int, x: int) -> float:
         self._check(j, x)
         return float(self._cont[j, x])
-
-    def states(self) -> Iterator[tuple[int, int]]:
-        n = self.model.n
-        for j in range(1, n + 1):
-            for x in range(self._stop.shape[1]):
-                if not math.isnan(self._stop[j, x]):
-                    yield (j, x)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Raw (stop, cont) arrays indexed [j, x]; NaN outside the domain."""

@@ -194,6 +194,21 @@ class TestValue:
         assert code == 0
         assert path.read_bytes() == want.encode()
 
+    def test_tables_csv_holds_one_row_at_a_time(self, capsys, tmp_path):
+        # 448^2 = 200704 cells: both float tables take 3.2 MB, and the lines
+        # of the CSV (about 40 characters each) take more than that as text
+        path = tmp_path / "tables.csv"
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "value", "--model", "rectangular", "--n", "447",
+                                 "--tables", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert path.read_text().count("\n") == 1 + 447 * 447
+        assert peak < 2 * (2 * 448 * 448 * 8)
+
     def test_lattice_wider_than_cap_exits_1(self, capsys):
         # refused before any column of 10^8 values is allocated
         tracemalloc.start()
@@ -412,6 +427,21 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and token in err
+
+    @pytest.mark.parametrize("args", [
+        ("--model", "trend-scaled", "--rho", "inf"),
+        ("--model", "trend-scaled", "--rho", "1e308"),
+        ("--model", "trend-power", "--theta", "inf"),
+    ], ids=["rho-inf", "rho-n-overflows", "theta-inf"])
+    def test_trend_parameter_that_overflows_exits_1(self, capsys, tmp_path, args):
+        # every draw would be inf (or X_j = j + n surely): refused, not simulated
+        policy = tmp_path / "p.json"
+        policy.write_text('{"thresholds": [1e9, 1e9, "inf"]}')
+        code, out, err = run_cli(capsys, "simulate", *args, "--n", "3", "--reps", "1000",
+                                 "--policy", str(policy))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_pyramid_tables_exits_1(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "value", "--model", "pyramid", "--n", "5",
@@ -729,6 +759,7 @@ SNAPSHOT_COMMANDS = [
     "thresholds --model triangular --n 50",
     "thresholds --model uniform01 --n 20",
     "thresholds --model rectangular --n 30 --k 12 --format csv",
+    "thresholds --model pyramid --n 5 --p 0.3 --format csv",
     "value --model rectangular --n 50 --k 50",
     "value --model pyramid --n 50 --p 0.3",
     "value --model triangular --n 200",

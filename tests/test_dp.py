@@ -986,6 +986,15 @@ def test_the_frontier_of_an_optimal_pass_is_whole():
         assert dp._windows(dp._lattice_for(model), model, 0)[1][-1] == x_max + 1, model
 
 
+def test_rectangular_cuts_fall_as_steps_left_grow():
+    # log s = r log P(X >= x) falls with r under a floor that does not move, so
+    # the window U_j = max(R_j, cut_{j+1}) covers the cuts of all later steps.
+    for n, k in FRONTIER_SHAPES:
+        model = ObservationModel.rectangular(n, k)
+        cut = dp._windows(dp._lattice_for(model), model, 0)[0]
+        assert len(cut) == n and np.all(np.diff(cut) <= 0), (n, k)
+
+
 def test_no_extension_cuts_past_an_old_window():
     # Counted from the top, y = n + 1 - cut, the cuts of the triangular
     # records never fall as the steps left r grow, and every record of a

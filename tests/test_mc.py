@@ -342,6 +342,20 @@ class TestScalingCheck:
         with pytest.raises(UnsupportedModelError):
             mc.scaling_check(ObservationModel.rectangular(100, 100))
 
+    @pytest.mark.parametrize("rho", [math.inf, 1e308], ids=["inf", "rho-n-overflows"])
+    def test_overflowing_scale_is_a_domain_error(self, rho):
+        # an infinite rho * n would give scale inf and no comparison range
+        with pytest.raises(DomainError):
+            mc.scaling_check(ObservationModel.trend_scaled(100, rho))
+
+    def test_seeded_scaling_check_with_clipped_minima(self):
+        # With rho n = 1000 the comparison range ends at 8 sqrt(rho n) = 253,
+        # inside the draws' range, so 1123 minima read cap: one run of ties.
+        rep = mc.scaling_check(ObservationModel.trend_scaled(10, 100.0), replications=20_000,
+                               seed=4)
+        assert (rep.sup_limit, rep.sup_exact, rep.note) == (
+            0.4287418744856479, 0.05822856155879508, "1123 samples above the comparison range")
+
     def test_no_replications(self):
         with pytest.raises(DomainError, match="replications must be >= 1"):
             mc.scaling_check(ObservationModel.trend_shifted(100), replications=0)

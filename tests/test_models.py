@@ -40,6 +40,22 @@ class TestObservationModel:
         with pytest.raises(DomainError):
             ObservationModel(kind="triangular", n=3, k=5)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ObservationModel.trend_scaled(3, math.inf),
+        lambda: ObservationModel.trend_scaled(3, 1e308),  # rho * n overflows
+        lambda: ObservationModel.trend_scaled(3, math.nan),
+        lambda: ObservationModel.trend_power(3, math.inf),
+        lambda: ObservationModel.trend_power(3, math.nan),
+    ], ids=["rho-inf", "rho-n-overflows", "rho-nan", "theta-inf", "theta-nan"])
+    def test_trend_parameters_that_overflow(self, make):
+        # every draw j + rho * n * U or j + n * U^(1/theta) must be finite
+        with pytest.raises(DomainError):
+            make()
+
+    def test_largest_finite_trend_parameters(self):
+        assert ObservationModel.trend_scaled(3, 1e308 / 3).rho == 1e308 / 3
+        assert ObservationModel.trend_power(3, 1e308).theta == 1e308
+
     def test_support(self):
         m = ObservationModel.triangular(6)
         assert m.support(1) == (1, 6)
@@ -197,7 +213,7 @@ def test_value_tables_access():
     tabs = sol.tables
     assert tabs.stop_value(3, 1) == 1.0
     assert tabs.cont_value(3, 2) == 0.0
-    states = list(tabs.states())
+    states = list(zip(*np.nonzero(~np.isnan(tabs.as_arrays()[0]))))
     assert (1, 1) in states and (3, 3) in states
     assert len(states) == 9
     with pytest.raises(StateRangeError):
