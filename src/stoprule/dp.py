@@ -55,29 +55,35 @@ cells.  Passes with value tables fill whole columns.
 
 The backward half (`_Sweep.advance`) keeps per-step records by steps left
 r = n - j (threshold, jump sum, drift-window values, and the frontier's
-backward sum and two columns), so it can go on from where it stopped.  It
-goes through blocks of steps: one exp over a block's box fills its stop rows
-and a few calls over the box give its thresholds and drift windows, so only
-the recursion and the jump sums cost numpy calls at every step.  The forward
-half (`_Sweep.horizon`) forms P(M_{j-1} >= .), the jump and drift fsums and
-the consistency gate of one horizon in O(n).  Triangular records do not
-depend on n: in y = n - x, X_j is uniform on {0..r}, and the stop column,
-its cut and the threshold at r read only r and y (the floor reads
-size_{j+1} = r).  The reach does depend on n, so `solve` keeps one set of
-triangular records and extends it to a larger n; a smaller n gets a pass of
-its own, whose v0 would read cells cut for the larger one.  An extension
-reads the old records only through the frontier, step 1 of their horizon,
-whose columns are whole (P(M_1 >= x) >= 1 / size_1 > _REACH_EPS) and whose
-value at x reads old cells only up to x.  Every old record was filled at
-least up to the frontier's cut, and no new step's cut passes it, as the cuts
-fall in r.  So an extension keeps every bit of a pass of its own, and
-ascending triangular solves cost one sweep to the largest n plus O(n) each.
-Rectangular solves, policy evaluations and solves with tables run both
-halves once.
+backward sum and two columns), so it can go on, a block of steps at a time,
+from where it stopped.  The forward half (`_Sweep.horizon`) forms the jump
+and drift fsums and the consistency gate of one horizon from P(M_{j-1} >= .)
+in O(n).  Triangular records do not depend on n: in y = n - x, X_j is uniform
+on {0..r}, and the stop column, its cut and the threshold at r read only r
+and y (the floor reads size_{j+1} = r).  The reach does depend on n, so
+`solve` keeps one set of triangular records and extends it to a larger n; a
+smaller n gets a pass of its own, whose v0 would read cells cut for the
+larger one.  An extension reads the old records only through the frontier,
+step 1 of their horizon, whose columns are whole (P(M_1 >= x) >=
+1 / size_1 > _REACH_EPS) and whose value at x reads old cells only up to x.
+Every old record was filled at least up to the frontier's cut, and no new
+step's cut passes it, as the cuts fall in r.  So an extension keeps every bit
+of a pass of its own, and ascending triangular solves cost one sweep to the
+largest n plus O(n) each.  Rectangular solves, policy evaluations and solves
+with tables run both halves once.
 
 For arbitrary monotone policies the same sums apply with v replaced by the
 "stop at every future record below y" chain, which is what any monotone
 threshold rule does after first passage.
+
+Every s and v is a probability, and round-to-nearest keeps v <= 1 with no
+clamp.  With S = size_{j+1}, v(j, x) sums m = x - lo_{j+1} + 1 terms in
+[0, 1] (max(s, v) of step j + 1, or s in a policy pass; s <= 1 by its clamp,
+v by induction from v = 0 at r = 0), divides by S and adds fl((S - m) / S)
+v(j + 1, x).  The sum is <= m (m is exact, rounding monotone), so the two
+parts are <= fl(m / S) and fl((S - m) / S), whose exact sum <= 1 + 2^-53
+rounds to 1.0 (ties to even).  The stop rows keep their clamp: the triangular
+log-gamma differences overshoot 0 at x = lo_j (13 cells of triangular(50)).
 """
 
 from __future__ import annotations
@@ -234,14 +240,13 @@ class _TriLattice:
         return log
 
     def prob_min_ge(self, j, ys: np.ndarray) -> np.ndarray:
-        """P(M_j >= y) for an integer array y (entries may reach n + 1),
-        elementwise in j as well; the empty minimum M_0 is +inf."""
+        """P(M_j >= y) for an integer array y in [1, n + 1], elementwise in
+        j as well: exactly 1.0 at y = 1 and 0.0 at y = n + 1, where j = 0 (the
+        empty minimum M_0 = +inf) gives NaN and so takes the where."""
         n, lg = self.n, self._lg
         t = np.minimum(j, ys - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.exp(t * np.log(n - ys + 1.0) - (lg[n + 1] - lg[n - t + 1]))
-        out[ys <= 1] = 1.0
-        out[ys > n] = 0.0
         return np.where(j == 0, 1.0, out)
 
 
@@ -284,7 +289,7 @@ def _stop_rows(lat, j, x, cut, out):
     lo_j hold junk."""
     inside = x < cut
     np.exp(lat.log_stop(j, x), out=out, where=inside)
-    np.minimum(out, 1.0, out=out)  # float overshoot of the lgamma differences
+    np.minimum(out, 1.0, out=out)  # binds at lo_j (module docstring)
     return inside
 
 
@@ -352,12 +357,10 @@ class _Sweep:
         for no larger horizon, and the columns no wider than its lattice.
 
         Step j fills its columns on [lo_j, end_j) and they read +0.0
-        elsewhere: whole columns with tables; up to min(hi, max(lo_j,
-        b_{j+1})) (b_n at the last step) in a policy pass, whose jump sum,
-        drift window and step before read no further, so its frontier cannot
-        be extended; from `_windows` in the optimal pass without tables,
-        whose extensions read the old records only at the frontier (see the
-        module docstring).
+        elsewhere (see the module docstring): whole columns with tables, up
+        to min(hi, max(lo_j, b_{j+1})) in a policy pass (so its frontier
+        cannot be extended), and from `_windows` in the optimal pass without
+        tables.
 
         Consecutive steps go in blocks whose box, the steps by [min lo_j,
         max end_j), has at most _BLOCK_CELLS cells or one step.  One exp
@@ -404,7 +407,7 @@ class _Sweep:
                 s_rows, c_rows = [s_front[xlo:xhi], *stop], [c_front[xlo:xhi], *cont]
                 for i, (sz, a, e) in enumerate(zip(size.tolist(), (lo1[blk] - xlo).tolist(),
                                                    (end[blk] - xlo).tolist())):
-                    if r0 + i:  # col = min(cumsum / size + P(X_{j+1} > x) nxt, 1)
+                    if r0 + i:  # col = cumsum / size + P(X_{j+1} > x) nxt, <= 1
                         nxt, col, pt = c_rows[i][a:e], c_rows[i + 1][a:e], p_above[i, a:e]
                         if optimal:
                             np.maximum(s_rows[i][a:e], nxt, out=col)
@@ -414,7 +417,6 @@ class _Sweep:
                         np.divide(col, sz, out=col)
                         np.multiply(pt, nxt, out=pt)
                         np.add(col, pt, out=col)
-                        np.minimum(col, 1.0, out=col)
                     if tables is not None:  # whole columns: e is the box's end
                         a = int(lo[i0 + i]) - xlo
                         tables[0][n - r0 - i, xlo + a :] = stop[i, a:]

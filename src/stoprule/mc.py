@@ -213,7 +213,9 @@ def _scaling_spec(model: ObservationModel):
         return math.sqrt(model.rho * n), lambda x: -np.expm1(-0.5 * x * x)
     if model.kind == TREND_POWER:
         th = model.theta
-        return n ** (th / (th + 1.0)), lambda x: -np.expm1(-(x ** (th + 1.0)) / (th + 1.0))
+        # x^(th + 1) overflows only where the Weibull cdf is exactly 1.0
+        cdf = np.errstate(over="ignore")(lambda x: -np.expm1(-(x ** (th + 1.0)) / (th + 1.0)))
+        return n ** (th / (th + 1.0)), cdf
     raise UnsupportedModelError(f"scaling check does not support {model.kind}")
 
 

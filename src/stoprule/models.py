@@ -237,14 +237,6 @@ class ObservationModel:
         return {"kind": self.kind, "n": self.n, "params": params}
 
 
-def _encode_threshold(b: float):
-    if b == math.inf:
-        return "inf"
-    if b == -math.inf:
-        return "-inf"
-    return b
-
-
 def _decode_threshold(b) -> float:
     if b == "inf":
         return math.inf
@@ -282,7 +274,7 @@ class ThresholdPolicy:
         return all(ts[i] <= ts[i + 1] for i in range(len(ts) - 1))
 
     def to_json(self) -> dict:
-        return {"thresholds": [_encode_threshold(b) for b in self.thresholds]}
+        return {"thresholds": [str(b) if math.isinf(b) else b for b in self.thresholds]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ThresholdPolicy":

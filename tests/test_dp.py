@@ -4,11 +4,12 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
 from stoprule import dp, mc
@@ -762,6 +763,61 @@ def test_stop_col_matches_closed_form_bit_for_bit(model):
         floor_seen = floor_seen or cut <= x_max
     if min(model.n, x_max) > 2:
         assert floor_seen
+
+
+def test_stop_row_clamp_binds_at_the_bottom_of_the_triangular_support():
+    # exp of the log-gamma differences overshoots 1 at x = lo_j on some steps,
+    # so `_stop_rows` needs its clamp where the recursion needs none
+    model = ObservationModel.triangular(50)
+    lat, j = dp._lattice_for(model), np.arange(1, 51)[:, None]
+    over = np.exp(lat.log_stop(j, j))[:, 0] > 1.0
+    assert over.any()
+    out = np.zeros((50, 50))
+    dp._stop_rows(lat, j, np.arange(1, 51), np.full_like(j, 51), out)
+    assert np.all(np.diag(out)[over] == 1.0) and out.max() == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 777, 9050])
+def test_prob_min_ge_is_exact_at_both_ends_of_its_range(n):
+    # Callers pass y in [1, n + 1]: the formula itself gives 1.0 at y = 1 and
+    # 0.0 at y = n + 1, except for the empty minimum M_0, which is +inf.
+    lat, j = dp._TriLattice(n), np.arange(n + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bottom = lat.prob_min_ge(j, np.ones_like(j))
+        top = lat.prob_min_ge(j, np.full_like(j, n + 1))
+    assert np.all(bottom == 1.0)
+    assert top[0] == 1.0 and np.all(top[1:] == 0.0)
+
+
+@st.composite
+def recursion_columns(draw):
+    """A column of the recursion: the size S = size_{j+1}, the column length
+    (its last cell has m = length terms, m <= S), and patterns of the terms
+    max(s, v) (or s) and of v(j + 1, .), all in [0, 1]."""
+    size = draw(st.integers(1, dp.LATTICE_WIDTH_CAP))
+    length = draw(st.just(size) | st.integers(1, min(size, 4096)))
+    unit = st.just(1.0) | st.floats(0.0, 1.0)
+    return (size, length, draw(st.lists(unit, min_size=1, max_size=6)),
+            draw(st.lists(unit, min_size=1, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(recursion_columns())
+@example((dp.LATTICE_WIDTH_CAP, dp.LATTICE_WIDTH_CAP, [1.0], [1.0]))
+@example((3, 3, [1.0], [1.0]))
+@example((1, 1, [1.0], [1.0]))
+def test_continuation_column_needs_no_clamp(column):
+    # The float64 calls of `_Sweep.advance`: the sequential prefix sum of m
+    # terms, divided by S, plus fl((S - m) / S) times v.  The sum is <= m, so
+    # the two parts add up to at most 1 + 2^-53, which rounds to 1.0.
+    size, length, terms, conts = column
+    col = np.add.accumulate(np.resize(np.array(terms), length))
+    np.divide(col, float(size), out=col)
+    p_above = np.divide(np.arange(size - 1.0, size - length - 1.0, -1.0), float(size))
+    np.multiply(p_above, np.resize(np.array(conts), length), out=p_above)
+    np.add(col, p_above, out=col)
+    assert col.max() <= 1.0
 
 
 # ---------------------------------------------------------------------------

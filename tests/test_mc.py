@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -347,6 +348,17 @@ class TestScalingCheck:
         # an infinite rho * n would give scale inf and no comparison range
         with pytest.raises(DomainError):
             mc.scaling_check(ObservationModel.trend_scaled(100, rho))
+
+    def test_weibull_limit_where_the_power_overflows(self):
+        # At theta = 1e308, x^(theta + 1) overflows at every x > 1, where the
+        # Weibull cdf is exactly 1.0; the check runs with warnings as errors.
+        model = ObservationModel.trend_power(100, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf = mc._scaling_spec(model)[1](np.array([0.0, 0.5, 1.0 + 2**-52, 2.0, 1e300]))
+            rep = mc.scaling_check(model, replications=2_000, seed=0)
+        assert cdf.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+        assert (rep.sup_limit, rep.sup_exact, rep.note) == (1.0, 1.0, "")
 
     def test_seeded_scaling_check_with_clipped_minima(self):
         # With rho n = 1000 the comparison range ends at 8 sqrt(rho n) = 253,
